@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,15 +68,49 @@ def _check_eta_n(eta: float, n: int) -> None:
         raise ValidationError(f"n must be >= 1, got {n}")
 
 
+def _closed_form_tail(eta: float, n: int) -> float:
+    return (n * eta * (1.0 - eta) + eta * (eta**n - 1.0)) / (1.0 - eta) ** 2
+
+
 def _weighted_tail(eta: float, n: int) -> float:
     """sum_{k=1}^{n-1} (n - k) * eta**k, stable on all of [0, 1]."""
     if n == 1 or eta == 0.0:
         return 0.0
     if 1.0 - eta >= CLOSED_FORM_CROSSOVER:
-        return (n * eta * (1.0 - eta) + eta * (eta**n - 1.0)) / (1.0 - eta) ** 2
+        return _closed_form_tail(eta, n)
     k = np.arange(1, n, dtype=float)
     terms = (n - k) * np.power(eta, k)
     return math.fsum(terms.tolist())
+
+
+def _weighted_tails(eta: float, n: int) -> Iterator[float]:
+    """_weighted_tail(eta, i) for i = 1..n, in O(n) in all.
+
+    The closed-form side yields the scalar closed form for each i, bit
+    for bit. Near eta = 1 two prefix recurrences replace the per-i sums:
+
+        G(i) = G(i-1) + eta^i,   S_tail(i+1) = S_tail(i) + G(i),
+
+    each carried with Neumaier's compensation (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 4.3). All terms are
+    positive, so the result stays within about an ulp of the fsum path.
+    """
+    yield 0.0
+    if 1.0 - eta >= CLOSED_FORM_CROSSOVER:
+        for i in range(2, n + 1):
+            yield _closed_form_tail(eta, i)
+        return
+    g = g_err = s = s_err = 0.0
+    for i in range(1, n):
+        x = eta**i
+        t = g + x
+        g_err += (g - t) + x if g >= x else (x - t) + g
+        g = t
+        x = g + g_err
+        t = s + x
+        s_err += (s - t) + x if s >= x else (x - t) + s
+        s = t
+        yield s + s_err
 
 
 def zeno_sum(eta: float, n: int) -> float:
@@ -94,27 +129,60 @@ def criterion_value(eta: float, n: int) -> float:
     return _weighted_tail(eta, n) / (n * n)
 
 
-def second_order_pn(eta: float, config: EvolutionConfig) -> float:
-    """Second-order survival probability 1 - 2*S(eta, n)*V*delta^2."""
-    _check_eta_n(eta, config.n)
+def _second_order(eta: float, config: EvolutionConfig) -> tuple[float, float]:
+    n = config.n
+    _check_eta_n(eta, n)
     vd2 = config.V * config.delta**2
     if vd2 > 0.1:
+        # stacklevel 3: attributed to the caller of the public function
         warnings.warn(
             f"V*delta^2 = {vd2:.3g} > 0.1; the second-order formula is "
             "unreliable at this step size",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return 1.0 - 2.0 * zeno_sum(eta, config.n) * vd2
+    tail = _weighted_tail(eta, n)
+    return 1.0 - 2.0 * (n / 2.0 + tail) * vd2, tail / (n * n)
+
+
+def second_order_pn(eta: float, config: EvolutionConfig) -> float:
+    """Second-order survival probability 1 - 2*S(eta, n)*V*delta^2."""
+    return _second_order(eta, config)[0]
+
+
+def second_order_with_criterion(
+    eta: float, config: EvolutionConfig
+) -> tuple[float, float]:
+    """second_order_pn(eta, config) and criterion_value(eta, config.n).
+
+    Both come from one evaluation of the weighted tail.
+    """
+    return _second_order(eta, config)
 
 
 def second_order_partial(eta: float, config: EvolutionConfig, i: int) -> float:
     """Second-order survival after the first i of the run's n steps.
 
     Same step length delta = T/n; only the number of elapsed steps varies.
+    Scalar reference for second_order_series.
     """
     if not 1 <= i <= config.n:
         raise ValidationError(f"step index {i} outside 1..{config.n}")
     return 1.0 - 2.0 * zeno_sum(eta, i) * config.V * config.delta**2
+
+
+def second_order_series(eta: float, config: EvolutionConfig) -> list[float]:
+    """second_order_partial(eta, config, i) for i = 1..n in one O(n) pass.
+
+    Equal to the scalar values bit for bit where the closed form applies
+    (and at eta = 1, where both sum integers exactly); within
+    CLOSED_FORM_CROSSOVER of eta = 1 a row may differ by an ulp.
+    """
+    _check_eta_n(eta, config.n)
+    V, d2 = config.V, config.delta**2
+    return [
+        1.0 - 2.0 * (i / 2.0 + tail) * V * d2
+        for i, tail in enumerate(_weighted_tails(eta, config.n), start=1)
+    ]
 
 
 def intermediate_coefficient(alpha: float) -> float:
@@ -201,8 +269,9 @@ def numeric_limit_probe(
     diagnostics = []
     for n in grid:
         eta = family_eta(schedule, n)
-        seq.append(second_order_pn(eta, replace(config, n=n)))
-        diagnostics.append((n, criterion_value(eta, n)))
+        p_so, criterion = second_order_with_criterion(eta, replace(config, n=n))
+        seq.append(p_so)
+        diagnostics.append((n, criterion))
     limit, converged = _aitken_accelerate(seq)
 
     scale = config.V * config.T**2

@@ -14,9 +14,7 @@ import io
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -32,7 +30,6 @@ from .schedules import (
 )
 from .unitary import EvolutionConfig
 
-SWEEP_THREADS_ENV = "ZENO_SWEEP_THREADS"
 SWEEP_POINT_CAP = 10**6
 SWEEP_PARAMS = ("n", "eta", "alpha", "beta", "omega", "T")
 
@@ -125,8 +122,13 @@ def _emit(text, output):
     if output is None:
         click.echo(text, nl=False)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write {output}: {exc.strerror or exc}"
+            ) from exc
 
 
 def _emit_json(obj, output):
@@ -202,11 +204,7 @@ def simulate(omega, t_total, n, c_ratio, oracle, kind, eta, alpha, beta,
     oracle = oracle or bool(cfg.get("oracle", False))
 
     result = evolution.survival_series(config, schedule)
-    eta_run = family_eta(schedule, config.n)
-    so_series = [
-        analysis.second_order_partial(eta_run, config, i)
-        for i in range(1, config.n + 1)
-    ]
+    so_series = analysis.second_order_series(family_eta(schedule, config.n), config)
     rows = [
         (i + 1, result.series[i], so_series[i], abs(result.series[i] - so_series[i]))
         for i in range(config.n)
@@ -398,9 +396,7 @@ def sweep(grids, omega, t_total, n, kind, eta, alpha, beta, overlaps, fmt,
           output, config_path):
     """Evaluate a 1- or 2-parameter grid of runs.
 
-    Rows are ordered lexicographically by grid point. Set the
-    ZENO_SWEEP_THREADS environment variable to evaluate points in a
-    thread pool (output order is unchanged).
+    Rows are ordered lexicographically by grid point.
     """
     cfg = _load_config(config_path)
     grids = list(grids) or list(cfg.get("grid", []))
@@ -439,13 +435,7 @@ def sweep(grids, omega, t_total, n, kind, eta, alpha, beta, overlaps, fmt,
         tuple(zip(names, combo))
         for combo in itertools.product(*(values for _, values in parsed))
     ]
-    worker = functools.partial(_sweep_point, base, sched_params)
-    threads = int(os.environ.get(SWEEP_THREADS_ENV, "0") or "0")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(worker, points))
-    else:
-        rows = [worker(p) for p in points]
+    rows = [_sweep_point(base, sched_params, p) for p in points]
 
     fmt = _resolve(cfg, "format", fmt, default="csv")
     header = ("n", "eta_n", "p_exact", "p_second_order", "criterion", "regime")

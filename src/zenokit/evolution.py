@@ -71,13 +71,14 @@ def propagate_projected(
 
     eta = family_eta(schedule, n)
     if config is not None:
-        p_so = analysis.second_order_pn(eta, config)
+        p_so, criterion = analysis.second_order_with_criterion(eta, config)
     else:
         p_so = 1.0 - 2.0 * analysis.zeno_sum(eta, n) * abs(U.b) ** 2
+        criterion = analysis.criterion_value(eta, n)
     return SurvivalResult(
         p_exact=p_exact,
         p_second_order=p_so,
-        criterion_value=analysis.criterion_value(eta, n),
+        criterion_value=criterion,
         series=tuple(series),
     )
 

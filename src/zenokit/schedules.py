@@ -8,6 +8,7 @@ schedule carries one complex overlap per step.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -17,11 +18,17 @@ from .errors import ValidationError
 _MODULUS_SLACK = 1e-12
 
 
+def _finite_positive(*values: float) -> bool:
+    return all(math.isfinite(v) and v > 0 for v in values)
+
+
 @dataclass(frozen=True)
 class ConstantOverlap:
     eta: complex
 
     def __post_init__(self):
+        if not cmath.isfinite(self.eta):
+            raise ValidationError(f"eta must be finite, got {self.eta}")
         if abs(self.eta) > 1.0 + _MODULUS_SLACK:
             raise ValidationError(f"|eta| = {abs(self.eta):.6g} exceeds 1")
 
@@ -34,9 +41,9 @@ class PowerLawOverlap:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
+        if not _finite_positive(self.alpha, self.beta):
             raise ValidationError(
-                f"power-law schedule needs alpha > 0 and beta > 0, "
+                f"power-law schedule needs finite alpha > 0 and beta > 0, "
                 f"got alpha={self.alpha}, beta={self.beta}"
             )
 
@@ -49,9 +56,9 @@ class ExponentialOverlap:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
+        if not _finite_positive(self.alpha, self.beta):
             raise ValidationError(
-                f"exponential schedule needs alpha > 0 and beta > 0, "
+                f"exponential schedule needs finite alpha > 0 and beta > 0, "
                 f"got alpha={self.alpha}, beta={self.beta}"
             )
 
@@ -63,6 +70,8 @@ class ExplicitOverlaps:
     def __post_init__(self):
         object.__setattr__(self, "overlaps", tuple(complex(o) for o in self.overlaps))
         for i, o in enumerate(self.overlaps):
+            if not cmath.isfinite(o):
+                raise ValidationError(f"overlap {i} is not finite: {o}")
             if abs(o) > 1.0 + _MODULUS_SLACK:
                 raise ValidationError(f"overlap {i} has modulus {abs(o):.6g} > 1")
 

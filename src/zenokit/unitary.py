@@ -103,12 +103,12 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
-        if self.T <= 0:
-            raise ValidationError(f"T must be > 0, got {self.T}")
-        if self.omega < 0:
-            raise ValidationError(f"omega must be >= 0, got {self.omega}")
-        if self.c_ratio <= 0:
-            raise ValidationError(f"c_ratio must be > 0, got {self.c_ratio}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValidationError(f"T must be finite and > 0, got {self.T}")
+        if not (math.isfinite(self.omega) and self.omega >= 0):
+            raise ValidationError(f"omega must be finite and >= 0, got {self.omega}")
+        if not (math.isfinite(self.c_ratio) and self.c_ratio > 0):
+            raise ValidationError(f"c_ratio must be finite and > 0, got {self.c_ratio}")
         if self.V * self.delta**2 >= 1.0:
             warnings.warn(
                 f"V*delta^2 = {self.V * self.delta**2:.3g} >= 1; "

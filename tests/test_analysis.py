@@ -20,6 +20,11 @@ from zenokit import (
     second_order_pn,
     zeno_sum,
 )
+from zenokit.analysis import (
+    second_order_partial,
+    second_order_series,
+    second_order_with_criterion,
+)
 
 
 class TestZenoSum:
@@ -66,8 +71,63 @@ class TestSecondOrder:
 
     def test_warns_when_step_too_coarse(self):
         cfg = EvolutionConfig(omega=1.0, T=2.0, n=5)
-        with pytest.warns(UserWarning, match="unreliable"):
+        with pytest.warns(UserWarning, match="unreliable") as record:
             second_order_pn(0.5, cfg)
+        assert record[0].filename == __file__
+
+
+class TestSecondOrderSeries:
+    @staticmethod
+    def scalar(eta, cfg):
+        return [second_order_partial(eta, cfg, i) for i in range(1, cfg.n + 1)]
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.99, 1.0])
+    def test_equals_scalar_reference(self, eta):
+        cfg = EvolutionConfig(omega=0.9, T=0.8, n=2000)
+        assert second_order_series(eta, cfg) == self.scalar(eta, cfg)
+
+    @pytest.mark.parametrize("eta", [1 - 1e-5, 1 - 1e-7])
+    def test_near_one_within_rounding_of_scalar_reference(self, eta):
+        cfg = EvolutionConfig(omega=0.9, T=0.8, n=8000)
+        got = second_order_series(eta, cfg)
+        want = self.scalar(eta, cfg)
+        assert len(got) == len(want)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 4e-16
+
+    def test_near_one_against_high_precision_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        eta, n = 1 - 1e-5, 10**5
+        cfg = EvolutionConfig(omega=0.9, T=0.8, n=n)
+        got = second_order_series(eta, cfg)
+        with mpmath.workdps(40):
+            e = mpmath.mpf(eta)
+            weight = mpmath.mpf(cfg.V) * mpmath.mpf(cfg.delta**2)
+            for i in (1, 2, 3, 10, 999, 12345, 54321, 99999, n):
+                tail = (i * e * (1 - e) + e * (e**i - 1)) / (1 - e) ** 2
+                want = 1 - 2 * (mpmath.mpf(i) / 2 + tail) * weight
+                assert abs(got[i - 1] - want) <= 1e-14, i
+
+    def test_single_step_and_domain_checks(self):
+        cfg = EvolutionConfig(omega=1.0, T=0.1, n=1)
+        assert second_order_series(1 - 1e-6, cfg) == [1.0 - 0.01]
+        with pytest.raises(ValidationError):
+            second_order_series(1.5, cfg)
+
+
+class TestSecondOrderWithCriterion:
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9999, 1 - 1e-6, 1.0])
+    def test_equals_separate_calls(self, eta):
+        cfg = EvolutionConfig(omega=0.7, T=0.9, n=777)
+        assert second_order_with_criterion(eta, cfg) == (
+            second_order_pn(eta, cfg),
+            criterion_value(eta, cfg.n),
+        )
+
+    def test_warns_at_callers_line_when_step_too_coarse(self):
+        cfg = EvolutionConfig(omega=1.0, T=2.0, n=5)
+        with pytest.warns(UserWarning, match="unreliable") as record:
+            second_order_with_criterion(0.5, cfg)
+        assert record[0].filename == __file__
 
 
 class TestCriterionValue:

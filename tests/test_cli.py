@@ -1,9 +1,11 @@
+import collections
 import json
 import math
 
 import pytest
 from click.testing import CliRunner
 
+from zenokit import analysis
 from zenokit.cli import main
 
 
@@ -57,6 +59,46 @@ class TestSimulate:
         r = invoke(runner, "simulate", "--omega", "1", "--eta", "1")
         assert r.exit_code == 2
         assert "T" in r.output
+
+    @pytest.mark.parametrize(
+        "omega,t_total,name",
+        [("nan", "1", "omega"), ("1", "inf", "T"), ("1", "nan", "T")],
+    )
+    def test_non_finite_parameter_exit_code(self, runner, omega, t_total, name):
+        r = invoke(
+            runner, "simulate", "--omega", omega, "--T", t_total, "--n", "3",
+            "--eta", "0.5",
+        )
+        assert r.exit_code == 2
+        assert f"error: {name} must be finite" in r.output
+
+    def test_unwritable_output_exit_code(self, runner):
+        r = invoke(
+            runner, "simulate", "--omega", "1", "--T", "0.1", "--n", "3",
+            "--eta", "0.5", "--output", "/nonexistent/x",
+        )
+        assert r.exit_code == 2
+        assert "error: cannot write /nonexistent/x:" in r.output
+
+    def test_near_one_second_order_is_linear_time(self, runner, monkeypatch):
+        # a per-step second-order sum would call these once per step
+        calls = collections.Counter()
+        for name in ("zeno_sum", "_weighted_tail"):
+            original = getattr(analysis, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(analysis, name, counted)
+        r = invoke(
+            runner, "simulate", "--omega", "0.5", "--T", "1", "--n", "20000",
+            "--eta", "1",
+        )
+        assert r.exit_code == 0
+        assert r.output.count("\n") == 20002
+        assert calls["zeno_sum"] <= 2
+        assert calls["_weighted_tail"] <= 2
 
     def test_deterministic_output(self, runner):
         args = ("simulate", "--omega", "1.3", "--T", "0.7", "--n", "40",
@@ -170,11 +212,6 @@ class TestSweep:
                 "--omega", "0.8", "--T", "0.4")
         assert invoke(runner, *args).output == invoke(runner, *args).output
 
-    def test_threaded_sweep_matches_serial(self, runner, monkeypatch):
-        args = ("sweep", "--grid", "eta=lin:0:1:9", "--n", "12", "--T", "0.5")
-        serial = invoke(runner, *args).output
-        monkeypatch.setenv("ZENO_SWEEP_THREADS", "4")
-        assert invoke(runner, *args).output == serial
 
 
 class TestPhysical:

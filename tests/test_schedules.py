@@ -44,6 +44,23 @@ def test_families_reject_nonpositive_parameters(cls):
         cls(alpha=1.0, beta=-1.0)
 
 
+@pytest.mark.parametrize("cls", [PowerLawOverlap, ExponentialOverlap])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_families_reject_non_finite_parameters(cls, bad):
+    with pytest.raises(ValidationError, match="finite"):
+        cls(alpha=bad, beta=1.0)
+    with pytest.raises(ValidationError, match="finite"):
+        cls(alpha=1.0, beta=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(0.5, math.nan), complex(math.inf, 0)])
+def test_overlaps_reject_non_finite_values(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        ConstantOverlap(eta=bad)
+    with pytest.raises(ValidationError, match="finite"):
+        ExplicitOverlaps(overlaps=(0.5, bad))
+
+
 def test_explicit_length_must_match_run():
     sched = ExplicitOverlaps(overlaps=(0.9, 0.8, 0.7))
     assert realize(sched, 3) == (0.9, 0.8, 0.7)

@@ -101,6 +101,11 @@ class TestEvolutionConfig:
             dict(omega=1.0, T=0.0, n=5),
             dict(omega=-1.0, T=1.0, n=5),
             dict(omega=1.0, T=1.0, n=5, c_ratio=0.0),
+            dict(omega=math.nan, T=1.0, n=5),
+            dict(omega=math.inf, T=1.0, n=5),
+            dict(omega=1.0, T=math.inf, n=5),
+            dict(omega=1.0, T=math.nan, n=5),
+            dict(omega=1.0, T=1.0, n=5, c_ratio=math.inf),
         ],
     )
     def test_rejects_invalid(self, kwargs):
