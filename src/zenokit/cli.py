@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import sys
 
 import click
@@ -32,6 +33,7 @@ from .unitary import EvolutionConfig
 
 SWEEP_POINT_CAP = 10**6
 SWEEP_PARAMS = ("n", "eta", "alpha", "beta", "omega", "T")
+SCHEDULE_PARAMS = ("eta", "alpha", "beta")
 
 
 def _handle_errors(fn):
@@ -143,6 +145,16 @@ def _emit_csv(header, rows, output):
     _emit(buf.getvalue(), output)
 
 
+# One element of simulate's "series" list as json.dumps(indent=2) nests it.
+_JSON_SERIES_ITEM = """\
+    {
+      "step": %d,
+      "p_exact": %r,
+      "p_second_order": %r,
+      "abs_gap": %r
+    }"""
+
+
 _format_option = click.option(
     "--format", "fmt", type=click.Choice(["csv", "json"]), default=None,
     help="Output format."
@@ -204,11 +216,9 @@ def simulate(omega, t_total, n, c_ratio, oracle, kind, eta, alpha, beta,
     oracle = oracle or bool(cfg.get("oracle", False))
 
     result = evolution.survival_series(config, schedule)
-    so_series = analysis.second_order_series(family_eta(schedule, config.n), config)
-    rows = [
-        (i + 1, result.series[i], so_series[i], abs(result.series[i] - so_series[i]))
-        for i in range(config.n)
-    ]
+    p_exact = result.series
+    p_second = analysis.second_order_series(family_eta(schedule, config.n), config)
+    gaps = list(map(abs, map(operator.sub, p_exact, p_second)))
     summary = {
         "p_exact": result.p_exact,
         "p_second_order": result.p_second_order,
@@ -220,37 +230,42 @@ def simulate(omega, t_total, n, c_ratio, oracle, kind, eta, alpha, beta,
         )
         summary["p_oracle"] = p_oracle
         summary["oracle_abs_gap"] = abs(result.p_exact - p_oracle)
+    # A gap is finite only if both of its row's probabilities are.
+    if not all(map(math.isfinite, itertools.chain(gaps, summary.values()))):
+        step = next((i for i, g in enumerate(gaps, 1) if not math.isfinite(g)), None)
+        raise ValidationError(
+            f"survival is not finite {f'at step {step}' if step else 'in the summary'}"
+            f" for omega = {config.omega!r}, T = {config.T!r}, n = {config.n}; "
+            "no rows printed"
+        )
 
+    # The per-step rows skip the generic encoders: each is formatted once
+    # into the bytes csv.writer or json.dumps(indent=2) would give, which
+    # for finite floats and ints are their repr.
+    rows = zip(itertools.count(1), p_exact, p_second, gaps)
     fmt = _resolve(cfg, "format", fmt, default="csv")
     if fmt == "json":
-        _emit_json(
+        head, tail = json.dumps(
             {
                 "config": {"omega": config.omega, "T": config.T, "n": config.n,
                            "c_ratio": config.c_ratio},
                 "schedule": _schedule_fields(schedule),
-                "series": [
-                    {"step": s, "p_exact": pe, "p_second_order": ps, "abs_gap": g}
-                    for s, pe, ps, g in rows
-                ],
+                "series": None,
                 "summary": summary,
             },
-            output,
-        )
+            indent=2,
+        ).split('"series": null', 1)
+        series = ",\n".join(map(_JSON_SERIES_ITEM.__mod__, rows))
+        _emit(f'{head}"series": [\n{series}\n  ]{tail}\n', output)
     else:
-        csv_rows = [(s, repr(pe), repr(ps), repr(g), "") for s, pe, ps, g in rows]
-        csv_rows.append(
-            ("summary", repr(result.p_exact), repr(result.p_second_order),
-             "", repr(result.criterion_value))
-        )
+        lines = ["step,p_exact,p_second_order,abs_gap,criterion\r\n"]
+        lines += map("%d,%r,%r,%r,\r\n".__mod__, rows)
+        lines.append("summary,%r,%r,,%r\r\n" % (
+            result.p_exact, result.p_second_order, result.criterion_value))
         if oracle:
-            csv_rows.append(
-                ("oracle", repr(summary["p_oracle"]), "",
-                 repr(summary["oracle_abs_gap"]), "")
-            )
-        _emit_csv(
-            ("step", "p_exact", "p_second_order", "abs_gap", "criterion"),
-            csv_rows, output,
-        )
+            lines.append("oracle,%r,,%r,\r\n" % (
+                summary["p_oracle"], summary["oracle_abs_gap"]))
+        _emit("".join(lines), output)
 
 
 @main.command()
@@ -273,7 +288,14 @@ def classify(variance, omega, t_total, n_max, kind, eta, alpha, beta,
     variance = _resolve(cfg, "V", variance)
     omega = _resolve(cfg, "omega", omega)
     if variance is None:
-        variance = float(omega) ** 2 if omega is not None else 1.0
+        try:
+            variance = float(omega) ** 2 if omega is not None else 1.0
+        except OverflowError:
+            raise ValidationError(
+                f"omega = {omega} puts V = omega^2 beyond the float range"
+            ) from None
+    elif not (math.isfinite(variance) and variance >= 0):
+        raise ValidationError(f"V must be finite and >= 0, got {variance}")
     t_total = float(_resolve(cfg, "T", t_total, default=1.0))
     n_max = int(_resolve(cfg, "n_max", n_max, default=2**20))
 
@@ -349,27 +371,29 @@ def _parse_grid(spec):
     return name, sorted(set(values))
 
 
-def _sweep_point(base, schedule_params, point):
-    params = dict(base)
-    sched = dict(schedule_params)
-    for name, value in point:
-        if name in ("eta", "alpha", "beta"):
-            sched[name] = value
-        else:
-            params[name] = value
-    config = EvolutionConfig(
-        omega=params["omega"], T=params["T"], n=int(params["n"]),
-        c_ratio=params.get("c_ratio", 1.0),
-    )
+def _schedule_and_regime(sched):
     schedule = _build_schedule(
-        {}, sched.get("kind"), sched.get("eta"), sched.get("alpha"),
-        sched.get("beta"), sched.get("overlaps"),
+        {}, sched["kind"], sched["eta"], sched["alpha"], sched["beta"],
+        sched["overlaps"],
     )
-    result = evolution.survival_series(config, schedule)
     try:
         regime = analysis.classify_schedule(schedule).label.value
     except UnclassifiableScheduleError:
         regime = "numeric-only"
+    return schedule, regime
+
+
+def _sweep_point(base, point, schedule_for):
+    params = dict(base)
+    params.update((name, v) for name, v in point if name not in SCHEDULE_PARAMS)
+    config = EvolutionConfig(
+        omega=params["omega"], T=params["T"], n=int(params["n"]),
+        c_ratio=params.get("c_ratio", 1.0),
+    )
+    schedule, regime = schedule_for(
+        tuple(p for p in point if p[0] in SCHEDULE_PARAMS)
+    )
+    result = evolution.survival_series(config, schedule)
     return (
         config.n,
         family_eta(schedule, config.n),
@@ -435,7 +459,13 @@ def sweep(grids, omega, t_total, n, kind, eta, alpha, beta, overlaps, fmt,
         tuple(zip(names, combo))
         for combo in itertools.product(*(values for _, values in parsed))
     ]
-    rows = [_sweep_point(base, sched_params, p) for p in points]
+    # A schedule depends only on the point's schedule parameters, so it is
+    # built once per distinct set of them: once in all when none is swept.
+    @functools.cache
+    def schedule_for(swept):
+        return _schedule_and_regime({**sched_params, **dict(swept)})
+
+    rows = [_sweep_point(base, p, schedule_for) for p in points]
 
     fmt = _resolve(cfg, "format", fmt, default="csv")
     header = ("n", "eta_n", "p_exact", "p_second_order", "criterion", "regime")

@@ -58,14 +58,13 @@ def propagate_projected(
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     overlaps = realize(schedule, n)
+    # The coefficients are properties (two of them call cmath.exp); read
+    # them once rather than on every step.
+    c_eq_0, c_neq_0, c_neq_1, c_eq_1 = U.c_eq_0, U.c_neq_0, U.c_neq_1, U.c_eq_1
     a0, a1 = 1.0 + 0.0j, 0.0j
     series = []
     for ov in overlaps:
-        a0, a1 = (
-            U.c_eq_0 * a0 + U.c_neq_0 * a1,
-            U.c_neq_1 * a0 + U.c_eq_1 * a1,
-        )
-        a1 *= ov
+        a0, a1 = c_eq_0 * a0 + c_neq_0 * a1, (c_neq_1 * a0 + c_eq_1 * a1) * ov
         series.append(abs(a0) ** 2)
     p_exact = series[-1]
 
@@ -83,12 +82,9 @@ def propagate_projected(
     )
 
 
-BranchCount = namedtuple("BranchCount", ["total_words", "contributing_words"])
-
-
 def _branch_amplitude(
     U: FreeEvolutionUnitary, overlaps: tuple[complex, ...], n: int
-) -> tuple[complex, BranchCount]:
+) -> complex:
     # coef[alpha, state]: alpha 0 means '=', 1 means '!='; state is b_i.
     coef = np.array(
         [[U.c_eq_0, U.c_eq_1], [U.c_neq_0, U.c_neq_1]], dtype=complex
@@ -96,20 +92,17 @@ def _branch_amplitude(
     ov = np.asarray(overlaps, dtype=complex)
     bits = np.arange(n)
     partial_re, partial_im = [], []
-    contributing = 0
     for start in range(0, 1 << n, _ORACLE_CHUNK):
         stop = min(start + _ORACLE_CHUNK, 1 << n)
         words = (np.arange(start, stop)[:, None] >> bits) & 1
         b = np.cumsum(words, axis=1) & 1
         keep = b[:, -1] == 0
-        contributing += int(keep.sum())
         amps = np.prod(coef[words[keep], b[keep]], axis=1)
         brackets = np.prod(np.where(b[keep] == 1, ov[None, :], 1.0), axis=1)
         total = np.sum(amps * brackets)
         partial_re.append(total.real)
         partial_im.append(total.imag)
-    amp = complex(math.fsum(partial_re), math.fsum(partial_im))
-    return amp, BranchCount(1 << n, contributing)
+    return complex(math.fsum(partial_re), math.fsum(partial_im))
 
 
 def enumerate_branches(
@@ -129,18 +122,7 @@ def enumerate_branches(
             f"branch oracle enumerates 2^n words; n = {n} exceeds the "
             f"cap of {ORACLE_MAX_STEPS}"
         )
-    amp, _ = _branch_amplitude(U, realize(schedule, n), n)
-    return abs(amp) ** 2
-
-
-def count_branches(
-    U: FreeEvolutionUnitary, schedule: OverlapSchedule, n: int
-) -> BranchCount:
-    """Word counts visited by the oracle (total and final-state-0)."""
-    if n > ORACLE_MAX_STEPS:
-        raise CapacityError(f"n = {n} exceeds the oracle cap of {ORACLE_MAX_STEPS}")
-    _, counts = _branch_amplitude(U, realize(schedule, n), n)
-    return counts
+    return abs(_branch_amplitude(U, realize(schedule, n), n)) ** 2
 
 
 BWord = namedtuple("BWord", ["bits", "returns_to_start"])

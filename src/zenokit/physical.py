@@ -27,8 +27,8 @@ VALIDITY_TIME_DISCREPANCY_NOTE = (
 
 def _require_positive(**fields: float) -> None:
     for name, value in fields.items():
-        if not value > 0:
-            raise ValidationError(f"{name} must be > 0, got {value}")
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ class BrownianModelParams:
     T: float
 
     def __post_init__(self):
-        if self.D < 0:
-            raise ValidationError(f"D must be >= 0, got {self.D}")
+        if not (math.isfinite(self.D) and self.D >= 0):
+            raise ValidationError(f"D must be finite and >= 0, got {self.D}")
         _require_positive(T=self.T)
 
 
@@ -80,7 +80,11 @@ def quadratic_validity_time(p: FreeParticleParams) -> float:
     short-time decay is valid; cross-checked against hbar/sqrt(Var)."""
     t_c = 2.0 * math.sqrt(2.0) * p.m * p.sigma**2 / p.hbar
     alt = p.hbar / math.sqrt(free_particle_variance(p))
-    assert abs(t_c - alt) <= 1e-12 * t_c
+    if not abs(t_c - alt) <= 1e-12 * t_c:
+        raise ValidationError(
+            f"validity time {t_c!r} disagrees with hbar/sqrt(Var) = {alt!r}; "
+            "m, sigma or hbar is beyond the float range"
+        )
     return t_c
 
 

@@ -109,9 +109,18 @@ class EvolutionConfig:
             raise ValidationError(f"omega must be finite and >= 0, got {self.omega}")
         if not (math.isfinite(self.c_ratio) and self.c_ratio > 0):
             raise ValidationError(f"c_ratio must be finite and > 0, got {self.c_ratio}")
-        if self.V * self.delta**2 >= 1.0:
+        try:
+            v_delta2 = self.V * self.delta**2
+        except OverflowError:  # float ** raises where * gives inf
+            v_delta2 = math.inf
+        if not math.isfinite(v_delta2):
+            raise ValidationError(
+                f"omega = {self.omega!r} and T = {self.T!r} put V = omega^2 or "
+                "V*delta^2 beyond the float range"
+            )
+        if v_delta2 >= 1.0:
             warnings.warn(
-                f"V*delta^2 = {self.V * self.delta**2:.3g} >= 1; "
+                f"V*delta^2 = {v_delta2:.3g} >= 1; "
                 "second-order comparisons are not meaningful at this step size",
                 stacklevel=2,
             )

@@ -1,11 +1,23 @@
 import collections
+import csv
+import io
 import json
 import math
 
 import pytest
 from click.testing import CliRunner
 
-from zenokit import analysis
+from zenokit import (
+    ConstantOverlap,
+    EvolutionConfig,
+    ExplicitOverlaps,
+    PowerLawOverlap,
+    analysis,
+    cli,
+    enumerate_branches,
+    family_eta,
+    survival_series,
+)
 from zenokit.cli import main
 
 
@@ -18,7 +30,86 @@ def invoke(runner, *args):
     return runner.invoke(main, list(args))
 
 
+def simulate_reference(fmt, omega, T, n, schedule, schedule_fields, oracle):
+    """simulate's output rebuilt from library values with csv.writer or
+    json.dumps(indent=2)."""
+    config = EvolutionConfig(omega=omega, T=T, n=n)
+    result = survival_series(config, schedule)
+    so = analysis.second_order_series(family_eta(schedule, n), config)
+    rows = [(i, pe, ps, abs(pe - ps))
+            for i, (pe, ps) in enumerate(zip(result.series, so), start=1)]
+    summary = {"p_exact": result.p_exact, "p_second_order": result.p_second_order,
+               "criterion": result.criterion_value}
+    if oracle:
+        p_oracle = enumerate_branches(config.step_unitary(), schedule, n)
+        summary["p_oracle"] = p_oracle
+        summary["oracle_abs_gap"] = abs(result.p_exact - p_oracle)
+    if fmt == "json":
+        return json.dumps({
+            "config": {"omega": omega, "T": T, "n": n, "c_ratio": 1.0},
+            "schedule": schedule_fields,
+            "series": [{"step": s, "p_exact": pe, "p_second_order": ps, "abs_gap": g}
+                       for s, pe, ps, g in rows],
+            "summary": summary,
+        }, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(("step", "p_exact", "p_second_order", "abs_gap", "criterion"))
+    writer.writerows((s, repr(pe), repr(ps), repr(g), "") for s, pe, ps, g in rows)
+    writer.writerow(("summary", repr(result.p_exact), repr(result.p_second_order),
+                     "", repr(result.criterion_value)))
+    if oracle:
+        writer.writerow(("oracle", repr(summary["p_oracle"]), "",
+                         repr(summary["oracle_abs_gap"]), ""))
+    return buf.getvalue()
+
+
+SIMULATE_SCHEDULES = {
+    "constant": (
+        ("--eta", "0.93"), 300, ConstantOverlap(eta=0.93),
+        {"type": "constant", "eta": 0.93},
+    ),
+    "power-law": (
+        ("--schedule", "power-law", "--alpha", "1.3", "--beta", "2"), 200,
+        PowerLawOverlap(alpha=1.3, beta=2.0),
+        {"type": "power-law", "alpha": 1.3, "beta": 2.0},
+    ),
+    "explicit": (
+        ("--schedule", "explicit", "--overlaps", "0.9+0.1j,0.95,0.7-0.3j,0.8+0.2j"), 4,
+        ExplicitOverlaps(overlaps=(0.9 + 0.1j, 0.95 + 0j, 0.7 - 0.3j, 0.8 + 0.2j)),
+        {"type": "explicit", "overlaps": [[0.9, 0.1], 0.95, [0.7, -0.3], [0.8, 0.2]]},
+    ),
+}
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kind", sorted(SIMULATE_SCHEDULES))
+    def test_output_matches_generic_encoders(self, runner, tmp_path, kind, fmt,
+                                             oracle, to_file):
+        flags, n, schedule, fields = SIMULATE_SCHEDULES[kind]
+        if oracle:
+            n = min(n, 12)
+            if kind == "explicit":
+                n = 4
+        args = ["simulate", "--omega", "0.7", "--T", "0.9", "--n", str(n),
+                *flags, "--format", fmt]
+        if oracle:
+            args.append("--oracle")
+        path = tmp_path / "out.txt"
+        if to_file:
+            args += ["--output", str(path)]
+        r = invoke(runner, *args)
+        assert r.exit_code == 0
+        expected = simulate_reference(fmt, 0.7, 0.9, n, schedule, fields, oracle)
+        if to_file:
+            assert r.stdout_bytes == b""
+            assert path.read_bytes() == expected.encode()
+        else:
+            assert r.stdout_bytes == expected.encode()
+
     def test_basic_run_values(self, runner):
         r = invoke(
             runner, "simulate", "--omega", "1", "--T", "0.1", "--n", "100",
@@ -61,16 +152,52 @@ class TestSimulate:
         assert "T" in r.output
 
     @pytest.mark.parametrize(
-        "omega,t_total,name",
-        [("nan", "1", "omega"), ("1", "inf", "T"), ("1", "nan", "T")],
+        "omega,t_total,message",
+        [
+            ("nan", "1", "omega must be finite"),
+            ("1", "inf", "T must be finite"),
+            ("1", "nan", "T must be finite"),
+            # V = omega^2 or V*delta^2 overflows
+            ("1e200", "1", "omega = 1e+200 and T = 1.0 put V"),
+            ("1", "1e200", "omega = 1.0 and T = 1e+200 put V"),
+            ("1e150", "1e10", "omega = 1e+150 and T = 10000000000.0 put V"),
+        ],
     )
-    def test_non_finite_parameter_exit_code(self, runner, omega, t_total, name):
+    def test_non_finite_parameter_exit_code(self, runner, omega, t_total, message):
         r = invoke(
             runner, "simulate", "--omega", omega, "--T", t_total, "--n", "3",
             "--eta", "0.5",
         )
         assert r.exit_code == 2
-        assert f"error: {name} must be finite" in r.output
+        assert f"error: {message}" in r.output
+
+    def test_non_finite_second_order_is_not_printed(self, runner):
+        # V*delta^2 = 0.01, but 2*S*V overflows from step 2 on
+        r = invoke(
+            runner, "simulate", "--omega", "1e154", "--T", "1e-154", "--n", "10",
+            "--eta", "1",
+        )
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert "survival is not finite at step 2" in r.output
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writer_refuses_non_finite_value(self, runner, monkeypatch, fmt):
+        original = analysis.second_order_series
+
+        def with_nan(eta, config):
+            values = original(eta, config)
+            values[2] = math.nan
+            return values
+
+        monkeypatch.setattr(analysis, "second_order_series", with_nan)
+        r = invoke(
+            runner, "simulate", "--omega", "1", "--T", "1", "--n", "5",
+            "--eta", "0.5", "--format", fmt,
+        )
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert "error: survival is not finite at step 3" in r.output
 
     def test_unwritable_output_exit_code(self, runner):
         r = invoke(
@@ -154,6 +281,23 @@ class TestClassify:
         )
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("variance", ["-1", "nan", "inf"])
+    def test_invalid_variance_exit_code(self, runner, variance):
+        r = invoke(
+            runner, "classify", "--schedule", "constant", "--eta", "0.5",
+            "--V", variance,
+        )
+        assert r.exit_code == 2
+        assert f"error: V must be finite and >= 0, got {float(variance)}" in r.output
+
+    def test_overflowing_omega_exit_code(self, runner):
+        r = invoke(
+            runner, "classify", "--schedule", "constant", "--eta", "0.5",
+            "--omega", "1e200",
+        )
+        assert r.exit_code == 2
+        assert "error: omega = 1e+200 puts V = omega^2 beyond" in r.output
+
 
 class TestSweep:
     def test_grid_rows_and_header(self, runner):
@@ -207,6 +351,51 @@ class TestSweep:
         )
         assert r.exit_code == 3
 
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = collections.Counter()
+        original = cli._build_schedule
+
+        def counted(*args):
+            calls["build"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cli, "_build_schedule", counted)
+        return calls
+
+    def test_fixed_schedule_is_built_once(self, runner, builds):
+        r = invoke(
+            runner, "sweep", "--grid", "omega=lin:0.1:0.9:5", "--grid", "T=0.5,1",
+            "--schedule", "explicit", "--overlaps", "0.9+0.1j,0.95,0.7-0.3j",
+            "--n", "3",
+        )
+        assert r.exit_code == 0
+        assert len(r.stdout.splitlines()) == 11
+        assert builds["build"] == 1
+
+    def test_eta_grid_rows(self, runner, builds):
+        etas, omegas = (0.3, 0.8, 1.0), (0.4, 0.9)
+        r = invoke(
+            runner, "sweep", "--grid", "eta=0.3,0.8,1", "--grid", "omega=0.4,0.9",
+            "--T", "0.6", "--n", "50",
+        )
+        assert r.exit_code == 0
+        assert builds["build"] == len(etas)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(("n", "eta_n", "p_exact", "p_second_order", "criterion",
+                         "regime"))
+        for eta in etas:
+            for omega in omegas:
+                result = survival_series(
+                    EvolutionConfig(omega=omega, T=0.6, n=50), ConstantOverlap(eta=eta)
+                )
+                regime = "FreeEvolution" if eta == 1.0 else "Zeno"
+                writer.writerow((50, repr(eta), repr(result.p_exact),
+                                 repr(result.p_second_order),
+                                 repr(result.criterion_value), regime))
+        assert r.stdout_bytes == buf.getvalue().encode()
+
     def test_deterministic_output(self, runner):
         args = ("sweep", "--grid", "eta=lin:0:1:7", "--grid", "n=2,5,9",
                 "--omega", "0.8", "--T", "0.4")
@@ -243,6 +432,21 @@ class TestPhysical:
     def test_invalid_parameters_exit_code(self, runner):
         r = invoke(runner, "physical", "brownian", "--D", "2", "--T", "-1")
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("brownian", "--D", "inf", "--T", "1"), "D must be finite and >= 0"),
+            (("gaussian-pointer", "--v", "1", "--sigma", "1", "--T", "inf"),
+             "T must be finite and > 0"),
+            (("free-particle", "--m", "nan", "--sigma", "1"),
+             "m must be finite and > 0"),
+        ],
+    )
+    def test_non_finite_parameter_names_its_flag(self, runner, args, message):
+        r = invoke(runner, "physical", *args)
+        assert r.exit_code == 2
+        assert f"error: {message}" in r.output
 
 
 class TestRecohere:

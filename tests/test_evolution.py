@@ -17,7 +17,6 @@ from zenokit import (
     propagate_projected,
     survival_series,
 )
-from zenokit.evolution import count_branches
 
 
 def random_unitary(rng):
@@ -78,13 +77,6 @@ class TestEnumerateBranches:
         u = make_rabi_unitary(1.0, 0.1)
         with pytest.raises(CapacityError, match="2\\^n"):
             enumerate_branches(u, ConstantOverlap(eta=0.5), 21)
-
-    def test_branch_counts(self):
-        u = make_rabi_unitary(1.0, 0.1)
-        for n in (1, 2, 5, 8):
-            counts = count_branches(u, ConstantOverlap(eta=0.5), n)
-            assert counts.total_words == 2**n
-            assert counts.contributing_words == 2 ** (n - 1)
 
 
 class TestOracleEquivalence:

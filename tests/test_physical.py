@@ -57,6 +57,19 @@ class TestFreeParticle:
         with pytest.raises(ValidationError):
             FreeParticleParams(m=0.0, sigma=1.0)
 
+    @pytest.mark.parametrize("field", ["m", "sigma", "hbar"])
+    def test_rejects_non_finite(self, field):
+        kwargs = {**dict(m=1.0, sigma=1.0, hbar=1.0), field: math.inf}
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            FreeParticleParams(**kwargs)
+
+    def test_validity_time_mismatch_raises(self):
+        # the variance underflows to a subnormal, so hbar/sqrt(Var) loses
+        # digits; an assert would vanish under python -O
+        p = FreeParticleParams(m=1.0, sigma=1e10, hbar=1e-70)
+        with pytest.raises(ValidationError, match="disagrees"):
+            quadratic_validity_time(p)
+
 
 class TestGaussianPointer:
     def test_zero_displacement_means_full_overlap(self):
@@ -97,7 +110,24 @@ class TestGaussianPointer:
         assert classify_schedule(sched).label is Regime.FREE_EVOLUTION
 
 
+class TestPointerModelParams:
+    @pytest.mark.parametrize("field", ["v", "sigma", "c_ratio", "T"])
+    def test_rejects_non_finite(self, field):
+        kwargs = {**dict(v=1.0, sigma=1.0, c_ratio=1.0, T=1.0), field: math.inf}
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            PointerModelParams(**kwargs)
+
+
 class TestBrownian:
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(D=math.inf, T=1.0), "D"),
+        (dict(D=math.nan, T=1.0), "D"),
+        (dict(D=1.0, T=math.inf), "T"),
+    ])
+    def test_rejects_non_finite(self, kwargs, field):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            BrownianModelParams(**kwargs)
+
     def test_schedule_parameters(self):
         sched = brownian_schedule(BrownianModelParams(D=2.0, T=1.0))
         assert sched.alpha == 2.0

@@ -106,6 +106,9 @@ class TestEvolutionConfig:
             dict(omega=1.0, T=math.inf, n=5),
             dict(omega=1.0, T=math.nan, n=5),
             dict(omega=1.0, T=1.0, n=5, c_ratio=math.inf),
+            dict(omega=1e200, T=1.0, n=2),
+            dict(omega=1.0, T=1e200, n=1),
+            dict(omega=1e150, T=1e10, n=1),
         ],
     )
     def test_rejects_invalid(self, kwargs):
