@@ -44,6 +44,8 @@ from .schedules import (
     PowerLawOverlap,
     family_eta,
     realize,
+    schedule_from_dict,
+    schedule_to_dict,
 )
 from .unitary import (
     EvolutionConfig,

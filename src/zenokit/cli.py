@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 2 invalid parameters, 3 capacity exceeded.
 Parameters come from flags or a JSON config file (--config); flags win.
+Every option is declared once, in PARAMS, and a command lists the ones it
+takes.
 Output is CSV or JSON, to stdout or a file, and is deterministic:
 identical invocations produce byte-identical output.
 """
@@ -9,6 +11,7 @@ identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -16,108 +19,157 @@ import json
 import math
 import operator
 import sys
+from typing import NamedTuple
 
 import click
 import numpy as np
 
 from . import analysis, evolution, physical, register
 from .errors import CapacityError, UnclassifiableScheduleError, ValidationError
-from .schedules import (
-    ConstantOverlap,
-    ExplicitOverlaps,
-    ExponentialOverlap,
-    PowerLawOverlap,
-    family_eta,
-)
+from .schedules import SCHEDULE_TYPES, family_eta, schedule_from_dict, schedule_to_dict
 from .unitary import EvolutionConfig
 
 SWEEP_POINT_CAP = 10**6
 SWEEP_PARAMS = ("n", "eta", "alpha", "beta", "omega", "T")
 SCHEDULE_PARAMS = ("eta", "alpha", "beta")
+REQUIRED = object()
 
 
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except CapacityError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except (ValidationError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
+class Param(NamedTuple):
+    """One option: its type, its default (REQUIRED for none) and its help.
 
-    return wrapper
+    The flag is the name with "--" in front and "_" as "-"; the config
+    file key is the name. A command may override the default.
+    """
+
+    type: object = float
+    default: object = None
+    help: str = ""
+    multiple: bool = False
+
+
+PARAMS = {
+    "grid": Param(str, (), "param=v1,v2,... or param=lin:start:stop:count or "
+                           "param=geom:start:stop:count; at most two.", multiple=True),
+    "omega": Param(float, 1.0, "Rabi angular frequency."),
+    "T": Param(float, 1.0, "Total duration."),
+    "n": Param(int, 1, "Number of steps."),
+    "V": Param(float, None, "Hamiltonian variance; omega^2 if --omega is given instead."),
+    "n_max": Param(int, 2**20, "Largest n probed numerically (default 2^20)."),
+    "oracle": Param(bool, False, "Cross-check against the 2^n branch oracle (n <= 20)."),
+    "schedule": Param(click.Choice(list(SCHEDULE_TYPES)), "constant",
+                      "Overlap schedule family."),
+    "eta": Param(float, None, "Constant overlap in [0, 1]."),
+    "alpha": Param(float, None, "Family coefficient (power-law, exponential)."),
+    "beta": Param(float, None, "Family exponent or rate (power-law, exponential)."),
+    "overlaps": Param(str, None, "Comma-separated per-step overlaps (explicit schedule)."),
+    "m": Param(float, REQUIRED, "Mass in kg."),
+    "sigma": Param(float, REQUIRED, "Packet width in m."),
+    "hbar": Param(float, physical.HBAR, "Reduced Planck constant in J*s."),
+    "v": Param(float, REQUIRED, "Coupling velocity in m/s."),
+    "c_ratio": Param(float, 1.0, "Interaction-time ratio of the pointer model."),
+    "D": Param(float, REQUIRED, "Diffusion constant."),
+    "format": Param(click.Choice(["csv", "json"]), "json", "Output format."),
+    # Flag only: never read from the config file.
+    "output": Param(click.Path(dir_okay=False), None,
+                    "Write to this path instead of stdout."),
+    "config": Param(click.Path(exists=True, dir_okay=False), None,
+                    "JSON file with default parameter values."),
+}
+SCHEDULE_FIELDS = (*SCHEDULE_PARAMS, "overlaps")
+SCHEDULE_OPTIONS = ("schedule", *SCHEDULE_FIELDS)
+
+
+def _option(name):
+    param = PARAMS[name]
+    return click.option("--" + name.replace("_", "-"), name, type=param.type, default=None,
+                        is_flag=param.type is bool, multiple=param.multiple, help=param.help)
 
 
 def _load_config(path):
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
     return data
 
 
-def _resolve(cfg, name, flag_value, default=None, required=False):
-    if flag_value is not None:
-        return flag_value
-    if name in cfg:
-        return cfg[name]
-    if required and default is None:
-        raise ValidationError(f"missing required parameter: {name}")
-    return default
+class Options:
+    """A command's parameter values: the flag, else the config file's
+    value converted as the flag would be, else the default."""
+
+    def __init__(self, flags, config, defaults):
+        self.flags = {k: v for k, v in flags.items() if v is not None and v != ()}
+        self.config = {k: v for k, v in config.items() if v is not None}
+        self.defaults = defaults
+
+    def __getitem__(self, name):
+        if name in self.flags:
+            return self.flags[name]
+        if name in self.config:
+            return _convert(name, self.config[name])
+        value = self.defaults.get(name, PARAMS[name].default)
+        if value is REQUIRED:
+            raise ValidationError(f"missing required parameter: {name}")
+        return value
+
+    def schedule(self):
+        """The schedule object --schedule (or the config's "schedule", a type
+        name or a whole schedule object) gives, with --eta, --alpha, --beta
+        and --overlaps laid over it; schedule_from_dict converts its fields."""
+        given = {**self.config, **self.flags}
+        kind = given.get("schedule", "constant")
+        fields = dict(kind) if isinstance(kind, dict) else {"type": kind}
+        fields.update((k, given[k]) for k in SCHEDULE_FIELDS if k in given)
+        return fields
 
 
-def _parse_overlaps(text):
+def _convert(name, value):
+    param = PARAMS[name]
+    ptype = click.types.convert_type(param.type)
     try:
-        return tuple(complex(part.strip()) for part in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse overlap list {text!r}: {exc}")
+        if not param.multiple:
+            return ptype.convert(value, None, None)
+        if not isinstance(value, list):
+            raise TypeError
+        return tuple(ptype.convert(v, None, None) for v in value)
+    except (click.BadParameter, TypeError, ValueError, OverflowError):
+        kind = f"list of {ptype.name}" if param.multiple else ptype.name
+        raise ValidationError(f"config {name}: {value!r} is not a valid {kind}") from None
 
 
-def _build_schedule(cfg, kind, eta, alpha, beta, overlaps):
-    kind = _resolve(cfg, "schedule", kind, default="constant")
-    eta = _resolve(cfg, "eta", eta)
-    alpha = _resolve(cfg, "alpha", alpha)
-    beta = _resolve(cfg, "beta", beta)
-    overlaps = _resolve(cfg, "overlaps", overlaps)
-    if kind == "constant":
-        if eta is None:
-            raise ValidationError("constant schedule needs --eta")
-        return ConstantOverlap(eta=float(eta))
-    if kind in ("power-law", "exponential"):
-        if alpha is None or beta is None:
-            raise ValidationError(f"{kind} schedule needs --alpha and --beta")
-        cls = PowerLawOverlap if kind == "power-law" else ExponentialOverlap
-        return cls(alpha=float(alpha), beta=float(beta))
-    if kind == "explicit":
-        if overlaps is None:
-            raise ValidationError("explicit schedule needs --overlaps")
-        if isinstance(overlaps, str):
-            overlaps = _parse_overlaps(overlaps)
-        return ExplicitOverlaps(overlaps=tuple(complex(o) for o in overlaps))
-    raise ValidationError(f"unknown schedule type {kind!r}")
+def _takes(*names, **defaults):
+    """Give a click command the options `names` from PARAMS, in that order.
 
+    The command is called with the Options of one invocation and returns
+    the text to print (or write to --output). Invalid parameters exit 2,
+    capacity errors 3.
+    """
 
-def _schedule_fields(schedule):
-    if isinstance(schedule, ConstantOverlap):
-        return {"type": "constant", "eta": _jsonable(schedule.eta)}
-    if isinstance(schedule, PowerLawOverlap):
-        return {"type": "power-law", "alpha": schedule.alpha, "beta": schedule.beta}
-    if isinstance(schedule, ExponentialOverlap):
-        return {"type": "exponential", "alpha": schedule.alpha, "beta": schedule.beta}
-    return {"type": "explicit", "overlaps": [_jsonable(o) for o in schedule.overlaps]}
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(**flags):
+            try:
+                config = _load_config(flags.pop("config", None))
+                output = flags.pop("output")
+                _emit(fn(Options(flags, config, defaults)), output)
+            except CapacityError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(3)
+            except ValidationError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(2)
 
+        for name in reversed(names):
+            run = _option(name)(run)
+        return run
 
-def _jsonable(value):
-    if isinstance(value, complex):
-        if value.imag == 0:
-            return value.real
-        return [value.real, value.imag]
-    return value
+    return decorate
 
 
 def _emit(text, output):
@@ -128,21 +180,19 @@ def _emit(text, output):
             with open(output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ValidationError(
-                f"cannot write {output}: {exc.strerror or exc}"
-            ) from exc
+            raise ValidationError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
-def _emit_json(obj, output):
-    _emit(json.dumps(obj, indent=2) + "\n", output)
+def _json(obj):
+    return json.dumps(obj, indent=2) + "\n"
 
 
-def _emit_csv(header, rows, output):
+def _csv(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    _emit(buf.getvalue(), output)
+    return buf.getvalue()
 
 
 # One element of simulate's "series" list as json.dumps(indent=2) nests it.
@@ -155,65 +205,19 @@ _JSON_SERIES_ITEM = """\
     }"""
 
 
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["csv", "json"]), default=None,
-    help="Output format."
-)
-_output_option = click.option(
-    "--output", type=click.Path(dir_okay=False), default=None,
-    help="Write to this path instead of stdout."
-)
-_config_option = click.option(
-    "--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-    default=None, help="JSON file with default parameter values."
-)
-
-
-def _schedule_options(fn):
-    for opt in reversed([
-        click.option("--schedule", "kind",
-                     type=click.Choice(["constant", "power-law", "exponential", "explicit"]),
-                     default=None, help="Overlap schedule family."),
-        click.option("--eta", type=float, default=None,
-                     help="Constant overlap in [0, 1]."),
-        click.option("--alpha", type=float, default=None),
-        click.option("--beta", type=float, default=None),
-        click.option("--overlaps", type=str, default=None,
-                     help="Comma-separated per-step overlaps (explicit schedule)."),
-    ]):
-        fn = opt(fn)
-    return fn
-
-
 @click.group()
 def main():
     """Discrete free-evolution vs. decoherence toolkit for a qubit."""
 
 
 @main.command()
-@click.option("--omega", type=float, default=None, help="Rabi angular frequency.")
-@click.option("--T", "t_total", type=float, default=None, help="Total duration.")
-@click.option("--n", type=int, default=None, help="Number of steps.")
-@click.option("--c-ratio", type=float, default=None)
-@click.option("--oracle", is_flag=True, default=False,
-              help="Cross-check against the 2^n branch oracle (n <= 20).")
-@_schedule_options
-@_format_option
-@_output_option
-@_config_option
-@_handle_errors
-def simulate(omega, t_total, n, c_ratio, oracle, kind, eta, alpha, beta,
-             overlaps, fmt, output, config_path):
+@_takes("omega", "T", "n", "oracle", *SCHEDULE_OPTIONS, "format", "output", "config",
+        omega=REQUIRED, T=REQUIRED, n=REQUIRED, format="csv")
+def simulate(opts):
     """Exact and second-order survival probability of one run."""
-    cfg = _load_config(config_path)
-    config = EvolutionConfig(
-        omega=float(_resolve(cfg, "omega", omega, required=True)),
-        T=float(_resolve(cfg, "T", t_total, required=True)),
-        n=int(_resolve(cfg, "n", n, required=True)),
-        c_ratio=float(_resolve(cfg, "c_ratio", c_ratio, default=1.0)),
-    )
-    schedule = _build_schedule(cfg, kind, eta, alpha, beta, overlaps)
-    oracle = oracle or bool(cfg.get("oracle", False))
+    config = EvolutionConfig(omega=opts["omega"], T=opts["T"], n=opts["n"])
+    schedule = schedule_from_dict(opts.schedule())
+    oracle, fmt = opts["oracle"], opts["format"]
 
     result = evolution.survival_series(config, schedule)
     p_exact = result.series
@@ -225,9 +229,7 @@ def simulate(omega, t_total, n, c_ratio, oracle, kind, eta, alpha, beta,
         "criterion": result.criterion_value,
     }
     if oracle:
-        p_oracle = evolution.enumerate_branches(
-            config.step_unitary(), schedule, config.n
-        )
+        p_oracle = evolution.enumerate_branches(config.step_unitary(), schedule, config.n)
         summary["p_oracle"] = p_oracle
         summary["oracle_abs_gap"] = abs(result.p_exact - p_oracle)
     # A gap is finite only if both of its row's probabilities are.
@@ -243,67 +245,52 @@ def simulate(omega, t_total, n, c_ratio, oracle, kind, eta, alpha, beta,
     # into the bytes csv.writer or json.dumps(indent=2) would give, which
     # for finite floats and ints are their repr.
     rows = zip(itertools.count(1), p_exact, p_second, gaps)
-    fmt = _resolve(cfg, "format", fmt, default="csv")
     if fmt == "json":
         head, tail = json.dumps(
             {
-                "config": {"omega": config.omega, "T": config.T, "n": config.n,
-                           "c_ratio": config.c_ratio},
-                "schedule": _schedule_fields(schedule),
+                "config": {"omega": config.omega, "T": config.T, "n": config.n},
+                "schedule": schedule_to_dict(schedule),
                 "series": None,
                 "summary": summary,
             },
             indent=2,
         ).split('"series": null', 1)
         series = ",\n".join(map(_JSON_SERIES_ITEM.__mod__, rows))
-        _emit(f'{head}"series": [\n{series}\n  ]{tail}\n', output)
-    else:
-        lines = ["step,p_exact,p_second_order,abs_gap,criterion\r\n"]
-        lines += map("%d,%r,%r,%r,\r\n".__mod__, rows)
-        lines.append("summary,%r,%r,,%r\r\n" % (
-            result.p_exact, result.p_second_order, result.criterion_value))
-        if oracle:
-            lines.append("oracle,%r,,%r,\r\n" % (
-                summary["p_oracle"], summary["oracle_abs_gap"]))
-        _emit("".join(lines), output)
+        return f'{head}"series": [\n{series}\n  ]{tail}\n'
+    lines = ["step,p_exact,p_second_order,abs_gap,criterion\r\n"]
+    lines += map("%d,%r,%r,%r,\r\n".__mod__, rows)
+    lines.append("summary,%r,%r,,%r\r\n" % (
+        result.p_exact, result.p_second_order, result.criterion_value))
+    if oracle:
+        lines.append("oracle,%r,,%r,\r\n" % (
+            summary["p_oracle"], summary["oracle_abs_gap"]))
+    return "".join(lines)
 
 
 @main.command()
-@click.option("--V", "variance", type=float, default=None,
-              help="Hamiltonian variance; omega^2 if --omega is given instead.")
-@click.option("--omega", type=float, default=None)
-@click.option("--T", "t_total", type=float, default=None)
-@click.option("--n-max", type=int, default=None,
-              help="Largest n probed numerically (default 2^20).")
-@_schedule_options
-@_format_option
-@_output_option
-@_config_option
-@_handle_errors
-def classify(variance, omega, t_total, n_max, kind, eta, alpha, beta,
-             overlaps, fmt, output, config_path):
+@_takes("V", "omega", "T", "n_max", *SCHEDULE_OPTIONS, "format", "output", "config")
+def classify(opts):
     """Analytic regime of a schedule family, with a numeric cross-check."""
-    cfg = _load_config(config_path)
-    schedule = _build_schedule(cfg, kind, eta, alpha, beta, overlaps)
-    variance = _resolve(cfg, "V", variance)
-    omega = _resolve(cfg, "omega", omega)
+    schedule = schedule_from_dict(opts.schedule())
+    fmt = opts["format"]
+    variance = opts["V"]
     if variance is None:
+        omega = opts["omega"]
         try:
-            variance = float(omega) ** 2 if omega is not None else 1.0
+            variance = omega**2
         except OverflowError:
             raise ValidationError(
                 f"omega = {omega} puts V = omega^2 beyond the float range"
             ) from None
     elif not (math.isfinite(variance) and variance >= 0):
         raise ValidationError(f"V must be finite and >= 0, got {variance}")
-    t_total = float(_resolve(cfg, "T", t_total, default=1.0))
-    n_max = int(_resolve(cfg, "n_max", n_max, default=2**20))
+    t_total = opts["T"]
 
     analytic = analysis.classify_schedule(schedule)
     config = EvolutionConfig(omega=math.sqrt(variance), T=t_total, n=64)
-    numeric = analysis.numeric_limit_probe(schedule, config, n_max)
+    numeric = analysis.numeric_limit_probe(schedule, config, opts["n_max"])
     record = {
-        "schedule": _schedule_fields(schedule),
+        "schedule": schedule_to_dict(schedule),
         "V": variance,
         "T": t_total,
         "analytic": {
@@ -319,23 +306,23 @@ def classify(variance, omega, t_total, n_max, kind, eta, alpha, beta,
         },
         "agreement": analytic.label == numeric.label,
     }
-    fmt = _resolve(cfg, "format", fmt, default="json")
     if fmt == "json":
-        _emit_json(record, output)
-    else:
-        _emit_csv(
-            ("label", "limit_p", "numeric_label", "numeric_limit",
-             "converged", "agreement"),
-            [(
-                record["analytic"]["label"],
-                repr(record["analytic"]["limit_p"]),
-                record["numeric"]["label"],
-                repr(record["numeric"]["extrapolated_limit"]),
-                record["numeric"]["converged"],
-                record["agreement"],
-            )],
-            output,
-        )
+        return _json(record)
+    return _csv(
+        ("label", "limit_p", "numeric_label", "numeric_limit", "converged", "agreement"),
+        [(analytic.label.value, repr(record["analytic"]["limit_p"]), numeric.label.value,
+          repr(numeric.extrapolated_limit), numeric.converged, record["agreement"])],
+    )
+
+
+def _grid_number(text, name, kind=float):
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"grid for {name}: {text!r} is not a finite {kind.__name__}")
+    return value
 
 
 def _parse_grid(spec):
@@ -344,55 +331,41 @@ def _parse_grid(spec):
     name, _, body = spec.partition("=")
     name = name.strip()
     if name not in SWEEP_PARAMS:
-        raise ValidationError(
-            f"cannot sweep {name!r}; choose from {', '.join(SWEEP_PARAMS)}"
-        )
+        raise ValidationError(f"cannot sweep {name!r}; choose from {', '.join(SWEEP_PARAMS)}")
     body = body.strip()
     if body.startswith("lin:") or body.startswith("geom:"):
         scheme, *parts = body.split(":")
         if len(parts) != 3:
             raise ValidationError(f"{scheme} grid needs start:stop:count, got {body!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = _grid_number(parts[0], name), _grid_number(parts[1], name)
+        count = _grid_number(parts[2], name, int)
         if count < 1:
             raise ValidationError(f"grid count must be >= 1, got {count}")
-        if scheme == "lin":
-            values = np.linspace(start, stop, count)
-        else:
-            if start <= 0 or stop <= 0:
-                raise ValidationError("geom grid endpoints must be positive")
-            values = np.geomspace(start, stop, count)
-        values = values.tolist()
+        if count > SWEEP_POINT_CAP:
+            raise CapacityError(
+                f"grid for {name} has {count} points, above the cap of {SWEEP_POINT_CAP}"
+            )
+        if scheme == "geom" and (start <= 0 or stop <= 0):
+            raise ValidationError("geom grid endpoints must be positive")
+        with np.errstate(all="ignore"):  # a range beyond the floats is refused below
+            space = np.linspace if scheme == "lin" else np.geomspace
+            values = space(start, stop, count).tolist()
     else:
-        values = [float(v) for v in body.split(",") if v.strip()]
+        values = [_grid_number(v, name) for v in body.split(",") if v.strip()]
     if not values:
         raise ValidationError(f"grid for {name} is empty")
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"grid for {name} leaves the float range: {body!r}")
     if name == "n":
         values = [int(round(v)) for v in values]
     return name, sorted(set(values))
 
 
-def _schedule_and_regime(sched):
-    schedule = _build_schedule(
-        {}, sched["kind"], sched["eta"], sched["alpha"], sched["beta"],
-        sched["overlaps"],
-    )
-    try:
-        regime = analysis.classify_schedule(schedule).label.value
-    except UnclassifiableScheduleError:
-        regime = "numeric-only"
-    return schedule, regime
-
-
 def _sweep_point(base, point, schedule_for):
-    params = dict(base)
-    params.update((name, v) for name, v in point if name not in SCHEDULE_PARAMS)
     config = EvolutionConfig(
-        omega=params["omega"], T=params["T"], n=int(params["n"]),
-        c_ratio=params.get("c_ratio", 1.0),
+        **base, **{k: v for k, v in point if k not in SCHEDULE_PARAMS}
     )
-    schedule, regime = schedule_for(
-        tuple(p for p in point if p[0] in SCHEDULE_PARAMS)
-    )
+    schedule, regime = schedule_for(tuple(kv for kv in point if kv[0] in SCHEDULE_PARAMS))
     result = evolution.survival_series(config, schedule)
     return (
         config.n,
@@ -405,25 +378,14 @@ def _sweep_point(base, point, schedule_for):
 
 
 @main.command()
-@click.option("--grid", "grids", type=str, multiple=True,
-              help="param=v1,v2,... or param=lin:start:stop:count or "
-                   "param=geom:start:stop:count; at most two.")
-@click.option("--omega", type=float, default=None)
-@click.option("--T", "t_total", type=float, default=None)
-@click.option("--n", type=int, default=None)
-@_schedule_options
-@_format_option
-@_output_option
-@_config_option
-@_handle_errors
-def sweep(grids, omega, t_total, n, kind, eta, alpha, beta, overlaps, fmt,
-          output, config_path):
+@_takes("grid", "omega", "T", "n", *SCHEDULE_OPTIONS, "format", "output", "config",
+        format="csv")
+def sweep(opts):
     """Evaluate a 1- or 2-parameter grid of runs.
 
     Rows are ordered lexicographically by grid point.
     """
-    cfg = _load_config(config_path)
-    grids = list(grids) or list(cfg.get("grid", []))
+    grids = opts["grid"]
     if not grids:
         raise ValidationError("no grid given; pass --grid at least once")
     if len(grids) > 2:
@@ -432,28 +394,12 @@ def sweep(grids, omega, t_total, n, kind, eta, alpha, beta, overlaps, fmt,
     names = [name for name, _ in parsed]
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate grid parameter {names[0]!r}")
-    total = 1
-    for _, values in parsed:
-        total *= len(values)
+    total = math.prod(len(values) for _, values in parsed)
     if total > SWEEP_POINT_CAP:
-        raise CapacityError(
-            f"grid has {total} points, above the cap of {SWEEP_POINT_CAP}"
-        )
+        raise CapacityError(f"grid has {total} points, above the cap of {SWEEP_POINT_CAP}")
 
-    base = {
-        "omega": float(_resolve(cfg, "omega", omega, default=1.0)),
-        "T": float(_resolve(cfg, "T", t_total, default=1.0)),
-        "n": int(_resolve(cfg, "n", n, default=1)),
-    }
-    sched_params = {
-        "kind": _resolve(cfg, "schedule", kind, default="constant"),
-        "eta": _resolve(cfg, "eta", eta),
-        "alpha": _resolve(cfg, "alpha", alpha),
-        "beta": _resolve(cfg, "beta", beta),
-        "overlaps": _resolve(cfg, "overlaps", overlaps),
-    }
-    if sched_params["kind"] == "constant" and sched_params["eta"] is None:
-        sched_params["eta"] = 1.0
+    fields = {"eta": 1.0, **opts.schedule()}
+    fmt = opts["format"]
 
     points = [
         tuple(zip(names, combo))
@@ -463,115 +409,67 @@ def sweep(grids, omega, t_total, n, kind, eta, alpha, beta, overlaps, fmt,
     # built once per distinct set of them: once in all when none is swept.
     @functools.cache
     def schedule_for(swept):
-        return _schedule_and_regime({**sched_params, **dict(swept)})
+        schedule = schedule_from_dict({**fields, **dict(swept)})
+        try:
+            regime = analysis.classify_schedule(schedule).label.value
+        except UnclassifiableScheduleError:
+            regime = "numeric-only"
+        return schedule, regime
 
-    rows = [_sweep_point(base, p, schedule_for) for p in points]
+    # The grid's own values replace these in each point's config.
+    base = {k: opts[k] for k in ("omega", "T", "n") if k not in names}
+    rows = [_sweep_point(base, point, schedule_for) for point in points]
 
-    fmt = _resolve(cfg, "format", fmt, default="csv")
     header = ("n", "eta_n", "p_exact", "p_second_order", "criterion", "regime")
     if fmt == "json":
-        _emit_json(
-            [dict(zip(header, (r[0], *map(_jsonable, r[1:5]), r[5]))) for r in rows],
-            output,
-        )
-    else:
-        _emit_csv(
-            header,
-            [(r[0], repr(r[1]), repr(r[2]), repr(r[3]), repr(r[4]), r[5])
-             for r in rows],
-            output,
-        )
+        return _json([dict(zip(header, r)) for r in rows])
+    return _csv(
+        header,
+        [(r[0], repr(r[1]), repr(r[2]), repr(r[3]), repr(r[4]), r[5]) for r in rows],
+    )
 
 
-@main.command()
-@click.argument("model",
-                type=click.Choice(["free-particle", "gaussian-pointer", "brownian"]))
-@click.option("--m", "mass", type=float, default=None, help="Mass in kg.")
-@click.option("--sigma", type=float, default=None, help="Packet width in m.")
-@click.option("--hbar", type=float, default=None)
-@click.option("--v", "velocity", type=float, default=None,
-              help="Coupling velocity in m/s.")
-@click.option("--c-ratio", type=float, default=None)
-@click.option("--T", "t_total", type=float, default=None)
-@click.option("--D", "diffusion", type=float, default=None,
-              help="Diffusion constant.")
-@_format_option
-@_output_option
-@_config_option
-@_handle_errors
-def physical_cmd(model, mass, sigma, hbar, velocity, c_ratio, t_total,
-                 diffusion, fmt, output, config_path):
+PHYSICAL_MODELS = {
+    "free-particle": (physical.FreeParticleParams, None),
+    "gaussian-pointer": (physical.PointerModelParams, physical.gaussian_model_schedule),
+    "brownian": (physical.BrownianModelParams, physical.brownian_schedule),
+}
+
+
+@main.command("physical")
+@click.argument("model", type=click.Choice(list(PHYSICAL_MODELS)))
+@_takes("m", "sigma", "hbar", "v", "c_ratio", "T", "D", "format", "output", "config",
+        T=REQUIRED)
+def physical_cmd(opts):
     """Derived quantities and schedule for one of the physical scenarios."""
-    cfg = _load_config(config_path)
-    if model == "free-particle":
-        params = physical.FreeParticleParams(
-            m=float(_resolve(cfg, "m", mass, required=True)),
-            sigma=float(_resolve(cfg, "sigma", sigma, required=True)),
-            hbar=float(_resolve(cfg, "hbar", hbar, default=physical.HBAR)),
+    model = opts["model"]
+    cls, to_schedule = PHYSICAL_MODELS[model]
+    params = cls(**{field.name: opts[field.name] for field in dataclasses.fields(cls)})
+    record = {"model": model, **dataclasses.asdict(params)}
+    if to_schedule is None:
+        record.update(
+            energy_variance=physical.free_particle_variance(params),
+            quadratic_validity_time=physical.quadratic_validity_time(params),
+            note=physical.VALIDITY_TIME_DISCREPANCY_NOTE,
         )
-        record = {
-            "model": model,
-            "m": params.m,
-            "sigma": params.sigma,
-            "hbar": params.hbar,
-            "energy_variance": physical.free_particle_variance(params),
-            "quadratic_validity_time": physical.quadratic_validity_time(params),
-            "note": physical.VALIDITY_TIME_DISCREPANCY_NOTE,
-        }
-    elif model == "gaussian-pointer":
-        params = physical.PointerModelParams(
-            v=float(_resolve(cfg, "v", velocity, required=True)),
-            sigma=float(_resolve(cfg, "sigma", sigma, required=True)),
-            c_ratio=float(_resolve(cfg, "c_ratio", c_ratio, default=1.0)),
-            T=float(_resolve(cfg, "T", t_total, required=True)),
-        )
-        schedule = physical.gaussian_model_schedule(params)
-        regime = analysis.classify_schedule(schedule)
-        record = {
-            "model": model,
-            "v": params.v,
-            "sigma": params.sigma,
-            "c_ratio": params.c_ratio,
-            "T": params.T,
-            "schedule": _schedule_fields(schedule),
-            "regime": regime.label.value,
-            "limit_coefficient": regime.limit_coefficient,
-        }
     else:
-        params = physical.BrownianModelParams(
-            D=float(_resolve(cfg, "D", diffusion, required=True)),
-            T=float(_resolve(cfg, "T", t_total, required=True)),
-        )
-        schedule = physical.brownian_schedule(params)
+        schedule = to_schedule(params)
         regime = analysis.classify_schedule(schedule)
-        record = {
-            "model": model,
-            "D": params.D,
-            "T": params.T,
-            "schedule": _schedule_fields(schedule),
-            "regime": regime.label.value,
-            "limit_coefficient": regime.limit_coefficient,
-        }
-    fmt = _resolve(cfg, "format", fmt, default="json")
-    if fmt == "json":
-        _emit_json(record, output)
-    else:
-        flat = [(k, v) for k, v in record.items() if not isinstance(v, dict)]
-        flat += [
-            (f"schedule_{k}", v)
-            for k, v in record.get("schedule", {}).items()
-        ]
-        _emit_csv(("key", "value"), flat, output)
-
-
-main.add_command(physical_cmd, name="physical")
+        record.update(
+            schedule=schedule_to_dict(schedule),
+            regime=regime.label.value,
+            limit_coefficient=regime.limit_coefficient,
+        )
+    if opts["format"] == "json":
+        return _json(record)
+    flat = [(k, v) for k, v in record.items() if not isinstance(v, dict)]
+    flat += [(f"schedule_{k}", v) for k, v in record.get("schedule", {}).items()]
+    return _csv(("key", "value"), flat)
 
 
 @main.command()
-@_format_option
-@_output_option
-@_handle_errors
-def recohere(fmt, output):
+@_takes("format", "output")
+def recohere(opts):
     """Decoherence/revival stages with a pre-entangled environment pair."""
     stages = []
     for label, rho, coherence in register.recoherence_demo():
@@ -583,20 +481,14 @@ def recohere(fmt, output):
             ],
             "coherence": coherence,
         })
-    if fmt in (None, "json"):
-        _emit_json({"stages": stages}, output)
-    else:
-        rows = []
-        for s in stages:
-            flat = [x for entry in s["rho"] for pair in entry for x in pair]
-            rows.append((s["stage"], *[repr(v) for v in flat], repr(s["coherence"])))
-        _emit_csv(
-            ("stage",
-             "rho_00_re", "rho_00_im", "rho_01_re", "rho_01_im",
-             "rho_10_re", "rho_10_im", "rho_11_re", "rho_11_im",
-             "coherence"),
-            rows, output,
-        )
+    if opts["format"] == "json":
+        return _json({"stages": stages})
+    rows = []
+    for s in stages:
+        flat = [x for entry in s["rho"] for pair in entry for x in pair]
+        rows.append((s["stage"], *[repr(v) for v in flat], repr(s["coherence"])))
+    rho_columns = [f"rho_{i}{j}_{part}" for i in "01" for j in "01" for part in ("re", "im")]
+    return _csv(("stage", *rho_columns, "coherence"), rows)
 
 
 if __name__ == "__main__":

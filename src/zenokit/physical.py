@@ -31,6 +31,19 @@ def _require_positive(**fields: float) -> None:
             raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
 
+def _derived(what: str, compute, **inputs: float) -> float:
+    """compute(), which must be a finite float > 0; otherwise a
+    ValidationError naming the inputs that put `what` out of that range."""
+    try:
+        value = compute()
+    except OverflowError:  # float ** raises where * gives inf
+        value = math.inf
+    if not (math.isfinite(value) and value > 0):
+        given = ", ".join(f"{name} = {v!r}" for name, v in inputs.items())
+        raise ValidationError(f"{given} put {what} outside the positive float range")
+    return value
+
+
 @dataclass(frozen=True)
 class FreeParticleParams:
     m: float
@@ -72,14 +85,19 @@ class BrownianModelParams:
 def free_particle_variance(p: FreeParticleParams) -> float:
     """Energy variance hbar^4 / (8 m^2 sigma^4) of a Gaussian wave packet
     under the kinetic Hamiltonian."""
-    return p.hbar**4 / (8.0 * p.m**2 * p.sigma**4)
+    return _derived(
+        "hbar^4/(8 m^2 sigma^4)",
+        lambda: p.hbar**4 / (8.0 * p.m**2 * p.sigma**4),
+        m=p.m, sigma=p.sigma, hbar=p.hbar,
+    )
 
 
 def quadratic_validity_time(p: FreeParticleParams) -> float:
     """Time scale 2*sqrt(2)*m*sigma^2/hbar below which the quadratic
     short-time decay is valid; cross-checked against hbar/sqrt(Var)."""
-    t_c = 2.0 * math.sqrt(2.0) * p.m * p.sigma**2 / p.hbar
+    # The variance check names the inputs before sigma**2 below can overflow.
     alt = p.hbar / math.sqrt(free_particle_variance(p))
+    t_c = 2.0 * math.sqrt(2.0) * p.m * p.sigma**2 / p.hbar
     if not abs(t_c - alt) <= 1e-12 * t_c:
         raise ValidationError(
             f"validity time {t_c!r} disagrees with hbar/sqrt(Var) = {alt!r}; "
@@ -104,7 +122,12 @@ def gaussian_model_schedule(p: PointerModelParams) -> PowerLawOverlap:
     i.e. alpha = (v*c*T/sigma)^2 and beta = 2: always the free-evolution
     regime, whatever the coupling strength.
     """
-    return PowerLawOverlap(alpha=(p.v * p.c_ratio * p.T / p.sigma) ** 2, beta=2.0)
+    alpha = _derived(
+        "alpha = (v*c_ratio*T/sigma)^2",
+        lambda: (p.v * p.c_ratio * p.T / p.sigma) ** 2,
+        v=p.v, sigma=p.sigma, c_ratio=p.c_ratio, T=p.T,
+    )
+    return PowerLawOverlap(alpha=alpha, beta=2.0)
 
 
 def brownian_schedule(p: BrownianModelParams) -> PowerLawOverlap:
@@ -116,4 +139,5 @@ def brownian_schedule(p: BrownianModelParams) -> PowerLawOverlap:
     """
     if p.D == 0:
         raise ValidationError("D = 0 realizes no decoherence; no schedule to build")
-    return PowerLawOverlap(alpha=p.D**2 * p.T / 2.0, beta=1.0)
+    alpha = _derived("alpha = D^2*T/2", lambda: p.D**2 * p.T / 2.0, D=p.D, T=p.T)
+    return PowerLawOverlap(alpha=alpha, beta=1.0)

@@ -4,13 +4,17 @@ A schedule fixes, for a run of n steps, the overlap <E_0|E_1> that each
 step's environment realizes. The family variants (constant, power-law,
 exponential) realize a single real eta shared by all n steps; an explicit
 schedule carries one complex overlap per step.
+
+schedule_to_dict and schedule_from_dict are the one JSON form of a
+schedule, {"type": ..., <fields>}, that the CLI prints and reads.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 from .errors import ValidationError
@@ -124,3 +128,89 @@ def realize(schedule: OverlapSchedule, n: int) -> tuple[complex, ...]:
     if isinstance(schedule, ConstantOverlap):
         return (complex(schedule.eta),) * n
     return (complex(family_eta(schedule, n)),) * n
+
+
+SCHEDULE_TYPES = {
+    "constant": ConstantOverlap,
+    "power-law": PowerLawOverlap,
+    "exponential": ExponentialOverlap,
+    "explicit": ExplicitOverlaps,
+}
+_TYPE_NAMES = {cls: name for name, cls in SCHEDULE_TYPES.items()}
+
+
+def _to_json(value):
+    """A real number as itself, a complex one as a number when its
+    imaginary part is 0 and as [re, im] otherwise; tuples element-wise."""
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, complex):
+        return value.real if value.imag == 0 else [value.real, value.imag]
+    return value
+
+
+def schedule_to_dict(schedule: OverlapSchedule) -> dict:
+    """{"type": ..., <fields>}: the JSON form that schedule_from_dict reads back."""
+    out = {"type": _TYPE_NAMES[type(schedule)]}
+    for field in fields(schedule):
+        out[field.name] = _to_json(getattr(schedule, field.name))
+    return out
+
+
+def _number(kind, name: str, value):
+    """kind(value) for a number or a numeric string, else a ValidationError
+    naming the field."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
+_real = functools.partial(_number, float)
+
+
+def _overlap(name: str, value) -> complex | float:
+    """A number, a complex string ("0.9+0.1j" or "(0.9+0.1j)") or an
+    [re, im] pair; a float when the imaginary part is 0."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        z = complex(_real(f"{name}[0]", value[0]), _real(f"{name}[1]", value[1]))
+    else:
+        z = _number(complex, name, value)
+    return z.real if z.imag == 0 else z
+
+
+def _overlaps(name: str, value) -> tuple[complex | float, ...]:
+    """A list of overlaps, or one string of comma-separated overlaps."""
+    if isinstance(value, str):
+        value = value.split(",")
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{name} must be a list of overlaps, got {value!r}")
+    return tuple(_overlap(f"{name}[{i}]", v) for i, v in enumerate(value))
+
+
+_DECODERS = {"eta": _overlap, "alpha": _real, "beta": _real, "overlaps": _overlaps}
+
+
+def schedule_from_dict(data: dict) -> OverlapSchedule:
+    """The schedule a {"type": ..., <fields>} object describes.
+
+    Reads what schedule_to_dict writes, and also numbers and overlaps given
+    as strings. Fields the type does not use are ignored; a missing or bad
+    field raises ValidationError naming it.
+    """
+    if not isinstance(data, dict):
+        raise ValidationError(f"a schedule must be a JSON object, got {data!r}")
+    kind = data.get("type")
+    cls = SCHEDULE_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValidationError(
+            f"unknown schedule type {kind!r}; choose from {', '.join(SCHEDULE_TYPES)}"
+        )
+    values = {}
+    for field in fields(cls):
+        if data.get(field.name) is None:
+            raise ValidationError(f"{kind} schedule needs {field.name}")
+        values[field.name] = _DECODERS[field.name](field.name, data[field.name])
+    return cls(**values)

@@ -31,7 +31,7 @@ class FreeEvolutionUnitary:
 
     def __post_init__(self):
         norm = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(norm - 1.0) > ROW_NORM_TOL:
+        if not abs(norm - 1.0) <= ROW_NORM_TOL:
             raise ValidationError(
                 f"|a|^2 + |b|^2 = {norm!r} deviates from 1 by {abs(norm - 1.0):.3e}"
             )
@@ -74,31 +74,22 @@ def make_rabi_unitary(omega: float, delta: float) -> FreeEvolutionUnitary:
 def make_general_unitary(a: complex, b: complex, phi: float) -> FreeEvolutionUnitary:
     """Validated (a, b, phi) constructor.
 
-    Inputs whose row norm deviates from 1 by more than 1e-9 are rejected;
-    anything closer is renormalized so the assembled matrix is unitary to
-    machine precision.
+    Inputs whose row norm deviates from 1 by more than 1e-9 are rejected
+    (by FreeEvolutionUnitary); anything closer is renormalized so the
+    assembled matrix is unitary to machine precision.
     """
-    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-    if abs(norm * norm - 1.0) > ROW_NORM_TOL:
-        raise ValidationError(
-            f"|a|^2 + |b|^2 = {norm * norm!r} deviates from 1 by "
-            f"{abs(norm * norm - 1.0):.3e}"
-        )
-    return FreeEvolutionUnitary(a=complex(a) / norm, b=complex(b) / norm, phi=float(phi))
+    u = FreeEvolutionUnitary(a=complex(a), b=complex(b), phi=float(phi))
+    norm = math.sqrt(abs(u.a) ** 2 + abs(u.b) ** 2)
+    return FreeEvolutionUnitary(a=u.a / norm, b=u.b / norm, phi=u.phi)
 
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Run parameters: Rabi frequency omega, total time T, step count n.
-
-    c_ratio is the dimensionless interaction-time ratio used by the
-    pointer-state model; it does not affect the free evolution itself.
-    """
+    """Run parameters: Rabi frequency omega, total time T, step count n."""
 
     omega: float
     T: float
     n: int
-    c_ratio: float = 1.0
 
     def __post_init__(self):
         if self.n < 1:
@@ -107,8 +98,6 @@ class EvolutionConfig:
             raise ValidationError(f"T must be finite and > 0, got {self.T}")
         if not (math.isfinite(self.omega) and self.omega >= 0):
             raise ValidationError(f"omega must be finite and >= 0, got {self.omega}")
-        if not (math.isfinite(self.c_ratio) and self.c_ratio > 0):
-            raise ValidationError(f"c_ratio must be finite and > 0, got {self.c_ratio}")
         try:
             v_delta2 = self.V * self.delta**2
         except OverflowError:  # float ** raises where * gives inf

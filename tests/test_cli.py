@@ -46,7 +46,7 @@ def simulate_reference(fmt, omega, T, n, schedule, schedule_fields, oracle):
         summary["oracle_abs_gap"] = abs(result.p_exact - p_oracle)
     if fmt == "json":
         return json.dumps({
-            "config": {"omega": omega, "T": T, "n": n, "c_ratio": 1.0},
+            "config": {"omega": omega, "T": T, "n": n},
             "schedule": schedule_fields,
             "series": [{"step": s, "p_exact": pe, "p_second_order": ps, "abs_gap": g}
                        for s, pe, ps, g in rows],
@@ -243,6 +243,112 @@ class TestSimulate:
         assert out["schedule"]["eta"] == 1.0
         assert out["summary"]["p_exact"] == pytest.approx(math.cos(0.1) ** 2, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", sorted(SIMULATE_SCHEDULES))
+    def test_config_from_json_output_reprints_same_bytes(self, runner, tmp_path, kind):
+        flags, n, _, _ = SIMULATE_SCHEDULES[kind]
+        first = invoke(runner, "simulate", "--omega", "0.7", "--T", "0.9", "--n", str(n),
+                       *flags, "--format", "json")
+        assert first.exit_code == 0
+        out = json.loads(first.stdout)
+        cfg = tmp_path / "again.json"
+        cfg.write_text(json.dumps({**out["config"], "schedule": out["schedule"]}))
+        again = invoke(runner, "simulate", "--config", str(cfg), "--format", "json")
+        assert again.exit_code == 0
+        assert again.stdout_bytes == first.stdout_bytes
+
+    def test_config_overlaps_in_output_form(self, runner, tmp_path):
+        flags, n, _, fields = SIMULATE_SCHEDULES["explicit"]
+        by_flags = invoke(runner, "simulate", "--omega", "0.7", "--T", "0.9",
+                          "--n", str(n), *flags)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"omega": 0.7, "T": 0.9, "n": n,
+                                   "schedule": "explicit",
+                                   "overlaps": fields["overlaps"]}))
+        r = invoke(runner, "simulate", "--config", str(cfg))
+        assert r.exit_code == 0
+        assert r.stdout_bytes == by_flags.stdout_bytes
+
+    @pytest.mark.parametrize("value,has_oracle", [("no", False), (False, False),
+                                                  (True, True), ("yes", True)])
+    def test_config_oracle_is_read_as_a_boolean(self, runner, tmp_path, value,
+                                                has_oracle):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"omega": 0.7, "T": 0.9, "n": 4, "eta": 0.5,
+                                   "oracle": value}))
+        r = invoke(runner, "simulate", "--config", str(cfg))
+        assert r.exit_code == 0
+        assert ("\noracle," in r.stdout) == has_oracle
+
+    def test_internal_value_error_is_not_reported_as_bad_input(self, runner,
+                                                               monkeypatch):
+        def broken(eta, config):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(analysis, "second_order_series", broken)
+        r = invoke(runner, "simulate", "--omega", "1", "--T", "1", "--n", "5",
+                   "--eta", "0.5")
+        assert r.exit_code == 1
+        assert isinstance(r.exception, ValueError)
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize(
+        "config,args,message",
+        [
+            ("{not json", ("simulate",), "cannot read config file"),
+            ('{"omega": 1, "T": 1, "n": "abc", "eta": 0.5}', ("simulate",),
+             "config n: 'abc' is not a valid integer"),
+            ('{"omega": [1], "T": 1, "n": 3, "eta": 0.5}', ("simulate",),
+             "config omega: [1] is not a valid float"),
+            ('{"omega": 1, "T": 1, "n": 3, "eta": 0.5, "oracle": "maybe"}',
+             ("simulate",), "config oracle: 'maybe' is not a valid boolean"),
+            ('{"omega": 1, "T": 1, "n": 3, "schedule": "explicit", '
+             '"overlaps": [0.9, "x", 0.8]}', ("simulate",),
+             "overlaps[1] must be a number"),
+            ('{"omega": 1, "T": 1, "n": 3, "schedule": {"type": "power-law", '
+             '"alpha": 1}}', ("simulate",), "power-law schedule needs beta"),
+            ('{"grid": "omega=0.5,1"}', ("sweep",),
+             "config grid: 'omega=0.5,1' is not a valid list of text"),
+            ('{"omega": 1, "T": 1, "n": 3, "eta": 0.5, "format": "xml"}',
+             ("simulate",), "config format: 'xml' is not a valid choice"),
+        ],
+    )
+    def test_bad_config_exit_code(self, runner, tmp_path, config, args, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(config)
+        r = invoke(runner, *args, "--config", str(cfg))
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert f"error: {message}" in r.output
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ("eta=abc", "grid for eta: 'abc' is not a finite float"),
+            ("eta=lin:0:1:x", "grid for eta: 'x' is not a finite int"),
+            ("omega=geom:1:y:3", "grid for omega: 'y' is not a finite float"),
+            ("n=nan", "grid for n: 'nan' is not a finite float"),
+            ("n=inf", "grid for n: 'inf' is not a finite float"),
+            ("n=lin:1:1e400:3", "grid for n: '1e400' is not a finite float"),
+            ("n=lin:-1e308:1e308:3", "grid for n leaves the float range"),
+        ],
+    )
+    def test_bad_grid_exit_code(self, runner, grid, message):
+        r = invoke(runner, "sweep", "--grid", grid)
+        assert r.exit_code == 2
+        assert f"error: {message}" in r.output
+
+    def test_grid_count_is_capped_before_it_is_built(self, runner):
+        r = invoke(runner, "sweep", "--grid", "eta=lin:0:1:1000000000")
+        assert r.exit_code == 3
+        assert "grid for eta has 1000000000 points" in r.output
+
+    def test_removed_c_ratio_flag_is_a_usage_error(self, runner):
+        r = invoke(runner, "simulate", "--omega", "1", "--T", "1", "--n", "3",
+                   "--eta", "0.5", "--c-ratio", "2")
+        assert r.exit_code == 2
+        assert "No such option" in r.output
+
 
 class TestClassify:
     def test_power_law_zeno(self, runner):
@@ -289,6 +395,15 @@ class TestClassify:
         )
         assert r.exit_code == 2
         assert f"error: V must be finite and >= 0, got {float(variance)}" in r.output
+
+    def test_flags_override_config_schedule_object(self, runner, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"schedule": {"type": "power-law", "alpha": 1,
+                                                "beta": 1}, "n_max": 4096}))
+        r = invoke(runner, "classify", "--config", str(cfg), "--beta", "2")
+        assert r.exit_code == 0
+        assert json.loads(r.output)["schedule"] == {
+            "type": "power-law", "alpha": 1.0, "beta": 2.0}
 
     def test_overflowing_omega_exit_code(self, runner):
         r = invoke(
@@ -354,13 +469,13 @@ class TestSweep:
     @pytest.fixture
     def builds(self, monkeypatch):
         calls = collections.Counter()
-        original = cli._build_schedule
+        original = cli.schedule_from_dict
 
         def counted(*args):
             calls["build"] += 1
             return original(*args)
 
-        monkeypatch.setattr(cli, "_build_schedule", counted)
+        monkeypatch.setattr(cli, "schedule_from_dict", counted)
         return calls
 
     def test_fixed_schedule_is_built_once(self, runner, builds):
@@ -395,6 +510,16 @@ class TestSweep:
                                  repr(result.p_second_order),
                                  repr(result.criterion_value), regime))
         assert r.stdout_bytes == buf.getvalue().encode()
+
+    def test_config_schedule_object_keeps_its_eta(self, runner, tmp_path):
+        # a constant sweep defaults to eta = 1 only when no eta is given
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"schedule": {"type": "constant", "eta": 0.5},
+                                   "grid": ["omega=0.5,1"], "T": 0.3, "n": 10,
+                                   "format": "json"}))
+        r = invoke(runner, "sweep", "--config", str(cfg))
+        assert r.exit_code == 0
+        assert [row["eta_n"] for row in json.loads(r.output)] == [0.5, 0.5]
 
     def test_deterministic_output(self, runner):
         args = ("sweep", "--grid", "eta=lin:0:1:7", "--grid", "n=2,5,9",
@@ -441,6 +566,20 @@ class TestPhysical:
              "T must be finite and > 0"),
             (("free-particle", "--m", "nan", "--sigma", "1"),
              "m must be finite and > 0"),
+            # a derived quantity beyond the float range names its inputs
+            (("free-particle", "--m", "1e200", "--sigma", "1"),
+             "m = 1e+200, sigma = 1.0, hbar = 1.054571817e-34 put "
+             "hbar^4/(8 m^2 sigma^4) outside the positive float range"),
+            (("free-particle", "--m", "1e100", "--sigma", "1"),
+             "m = 1e+100, sigma = 1.0, hbar = 1.054571817e-34 put "
+             "hbar^4/(8 m^2 sigma^4) outside the positive float range"),
+            (("brownian", "--D", "1e200", "--T", "1"),
+             "D = 1e+200, T = 1.0 put alpha = D^2*T/2 outside the positive float range"),
+            (("brownian", "--D", "1e-200", "--T", "1"),
+             "D = 1e-200, T = 1.0 put alpha = D^2*T/2 outside"),
+            (("gaussian-pointer", "--v", "1e200", "--sigma", "1e-200", "--T", "1"),
+             "v = 1e+200, sigma = 1e-200, c_ratio = 1.0, T = 1.0 put "
+             "alpha = (v*c_ratio*T/sigma)^2 outside the positive float range"),
         ],
     )
     def test_non_finite_parameter_names_its_flag(self, runner, args, message):

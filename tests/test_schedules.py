@@ -1,6 +1,9 @@
+import json
 import math
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from zenokit import (
     ConstantOverlap,
@@ -10,6 +13,8 @@ from zenokit import (
     ValidationError,
     family_eta,
     realize,
+    schedule_from_dict,
+    schedule_to_dict,
 )
 
 
@@ -76,3 +81,78 @@ def test_explicit_rejects_large_modulus():
 def test_explicit_family_eta_is_mean_modulus():
     sched = ExplicitOverlaps(overlaps=(1.0, 0.0, 0.5j))
     assert family_eta(sched, 3) == pytest.approx(0.5)
+
+
+_positive = st.floats(min_value=1e-300, max_value=1e300)
+_unit = st.floats(min_value=-1.0, max_value=1.0)
+_overlap = st.one_of(
+    _unit,
+    st.tuples(_unit, _unit).filter(lambda t: math.hypot(*t) <= 1.0).map(lambda t: complex(*t)),
+)
+SCHEDULES = st.one_of(
+    _overlap.map(lambda eta: ConstantOverlap(eta=eta)),
+    st.builds(PowerLawOverlap, alpha=_positive, beta=_positive),
+    st.builds(ExponentialOverlap, alpha=_positive, beta=_positive),
+    st.lists(_overlap, max_size=8).map(lambda o: ExplicitOverlaps(overlaps=tuple(o))),
+)
+
+
+@given(SCHEDULES)
+def test_schedule_dict_round_trips(schedule):
+    data = schedule_to_dict(schedule)
+    assert schedule_from_dict(data) == schedule
+    # and through JSON text, as the CLI prints and reads it
+    assert schedule_from_dict(json.loads(json.dumps(data))) == schedule
+
+
+def test_schedule_to_dict_forms():
+    assert schedule_to_dict(ConstantOverlap(eta=0.5)) == {"type": "constant", "eta": 0.5}
+    assert schedule_to_dict(PowerLawOverlap(alpha=1.0, beta=2.0)) == {
+        "type": "power-law", "alpha": 1.0, "beta": 2.0}
+    assert schedule_to_dict(ExponentialOverlap(alpha=0.5, beta=0.25)) == {
+        "type": "exponential", "alpha": 0.5, "beta": 0.25}
+    assert schedule_to_dict(ExplicitOverlaps(overlaps=(0.9 + 0.1j, 0.95))) == {
+        "type": "explicit", "overlaps": [[0.9, 0.1], 0.95]}
+
+
+@pytest.mark.parametrize(
+    "overlaps",
+    [
+        [[0.9, 0.1], 0.95],
+        ["0.9+0.1j", "0.95"],
+        ["(0.9+0.1j)", 0.95],
+        "0.9+0.1j, 0.95",
+    ],
+)
+def test_schedule_from_dict_reads_every_overlap_form(overlaps):
+    schedule = schedule_from_dict({"type": "explicit", "overlaps": overlaps})
+    assert schedule == ExplicitOverlaps(overlaps=(0.9 + 0.1j, 0.95))
+
+
+def test_schedule_from_dict_reads_numeric_strings_and_ignores_other_fields():
+    assert schedule_from_dict({"type": "power-law", "alpha": "1.5", "beta": 2,
+                               "eta": 0.3}) == PowerLawOverlap(alpha=1.5, beta=2.0)
+    assert schedule_from_dict({"type": "constant", "eta": "0.5"}) == ConstantOverlap(eta=0.5)
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ([1, 2], "a schedule must be a JSON object"),
+        ({"eta": 0.5}, "unknown schedule type None"),
+        ({"type": "linear"}, "unknown schedule type 'linear'"),
+        ({"type": "constant"}, "constant schedule needs eta"),
+        ({"type": "constant", "eta": True}, "eta must be a number"),
+        ({"type": "exponential", "alpha": 1.0}, "exponential schedule needs beta"),
+        ({"type": "power-law", "alpha": [1], "beta": 1}, "alpha must be a number"),
+        ({"type": "power-law", "alpha": "x", "beta": 1}, "alpha must be a number"),
+        ({"type": "explicit", "overlaps": 0.9}, "overlaps must be a list"),
+        ({"type": "explicit", "overlaps": [0.9, "0.8+j0"]}, "overlaps[1] must be a number"),
+        ({"type": "explicit", "overlaps": [[0.9, "a"]]}, "overlaps[0][1] must be a number"),
+        ({"type": "explicit", "overlaps": [[0.9, 0.1, 0.0]]}, "overlaps[0] must be"),
+        ({"type": "explicit", "overlaps": [1.5]}, "overlap 0 has modulus"),
+    ],
+)
+def test_schedule_from_dict_names_the_bad_field(data, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        schedule_from_dict(data)

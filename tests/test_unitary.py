@@ -62,6 +62,12 @@ def test_general_unitary_rejects_bad_norm():
         make_general_unitary(0.9, 0.9, 0.0)
 
 
+@pytest.mark.parametrize("a", [math.nan, complex(1.0, math.nan), math.inf])
+def test_general_unitary_rejects_non_finite(a):
+    with pytest.raises(ValidationError, match="deviates"):
+        make_general_unitary(a, 0.0, 0.0)
+
+
 def test_rabi_cross_term_is_real_nonpositive():
     # conj(a)^2 * b * c_neq_1 = -cos^2 * sin^2 exactly for this realization
     for theta in (0.0, 0.1, 0.5, 1.3):
@@ -100,12 +106,10 @@ class TestEvolutionConfig:
             dict(omega=1.0, T=1.0, n=0),
             dict(omega=1.0, T=0.0, n=5),
             dict(omega=-1.0, T=1.0, n=5),
-            dict(omega=1.0, T=1.0, n=5, c_ratio=0.0),
             dict(omega=math.nan, T=1.0, n=5),
             dict(omega=math.inf, T=1.0, n=5),
             dict(omega=1.0, T=math.inf, n=5),
             dict(omega=1.0, T=math.nan, n=5),
-            dict(omega=1.0, T=1.0, n=5, c_ratio=math.inf),
             dict(omega=1e200, T=1.0, n=2),
             dict(omega=1.0, T=1e200, n=1),
             dict(omega=1e150, T=1e10, n=1),
