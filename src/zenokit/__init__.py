@@ -8,17 +8,11 @@ from .analysis import (
     intermediate_coefficient,
     limit_pn,
     numeric_limit_probe,
-    second_order_pn,
+    second_order_with_criterion,
     zeno_sum,
 )
 from .errors import CapacityError, UnclassifiableScheduleError, ValidationError
-from .evolution import (
-    SurvivalResult,
-    b_word_from_alpha,
-    enumerate_branches,
-    propagate_projected,
-    survival_series,
-)
+from .evolution import enumerate_branches, propagate_projected
 from .physical import (
     BrownianModelParams,
     FreeParticleParams,

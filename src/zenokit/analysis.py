@@ -129,34 +129,22 @@ def criterion_value(eta: float, n: int) -> float:
     return _weighted_tail(eta, n) / (n * n)
 
 
-def _second_order(eta: float, config: EvolutionConfig) -> tuple[float, float]:
+def second_order_with_criterion(
+    eta: float, config: EvolutionConfig
+) -> tuple[float, float]:
+    """Second-order survival 1 - 2*S(eta, n)*V*delta^2 and
+    criterion_value(eta, n), from one evaluation of the weighted tail."""
     n = config.n
     _check_eta_n(eta, n)
     vd2 = config.V * config.delta**2
     if vd2 > 0.1:
-        # stacklevel 3: attributed to the caller of the public function
         warnings.warn(
             f"V*delta^2 = {vd2:.3g} > 0.1; the second-order formula is "
             "unreliable at this step size",
-            stacklevel=3,
+            stacklevel=2,
         )
     tail = _weighted_tail(eta, n)
     return 1.0 - 2.0 * (n / 2.0 + tail) * vd2, tail / (n * n)
-
-
-def second_order_pn(eta: float, config: EvolutionConfig) -> float:
-    """Second-order survival probability 1 - 2*S(eta, n)*V*delta^2."""
-    return _second_order(eta, config)[0]
-
-
-def second_order_with_criterion(
-    eta: float, config: EvolutionConfig
-) -> tuple[float, float]:
-    """second_order_pn(eta, config) and criterion_value(eta, config.n).
-
-    Both come from one evaluation of the weighted tail.
-    """
-    return _second_order(eta, config)
 
 
 def second_order_partial(eta: float, config: EvolutionConfig, i: int) -> float:

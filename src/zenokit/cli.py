@@ -219,19 +219,16 @@ def simulate(opts):
     schedule = schedule_from_dict(opts.schedule())
     oracle, fmt = opts["oracle"], opts["format"]
 
-    result = evolution.survival_series(config, schedule)
-    p_exact = result.series
-    p_second = analysis.second_order_series(family_eta(schedule, config.n), config)
+    p_exact = evolution.propagate_projected(config.step_unitary(), schedule, config.n)
+    eta = family_eta(schedule, config.n)
+    p_so, criterion = analysis.second_order_with_criterion(eta, config)
+    p_second = analysis.second_order_series(eta, config)
     gaps = list(map(abs, map(operator.sub, p_exact, p_second)))
-    summary = {
-        "p_exact": result.p_exact,
-        "p_second_order": result.p_second_order,
-        "criterion": result.criterion_value,
-    }
+    summary = {"p_exact": p_exact[-1], "p_second_order": p_so, "criterion": criterion}
     if oracle:
         p_oracle = evolution.enumerate_branches(config.step_unitary(), schedule, config.n)
         summary["p_oracle"] = p_oracle
-        summary["oracle_abs_gap"] = abs(result.p_exact - p_oracle)
+        summary["oracle_abs_gap"] = abs(p_exact[-1] - p_oracle)
     # A gap is finite only if both of its row's probabilities are.
     if not all(map(math.isfinite, itertools.chain(gaps, summary.values()))):
         step = next((i for i, g in enumerate(gaps, 1) if not math.isfinite(g)), None)
@@ -259,8 +256,7 @@ def simulate(opts):
         return f'{head}"series": [\n{series}\n  ]{tail}\n'
     lines = ["step,p_exact,p_second_order,abs_gap,criterion\r\n"]
     lines += map("%d,%r,%r,%r,\r\n".__mod__, rows)
-    lines.append("summary,%r,%r,,%r\r\n" % (
-        result.p_exact, result.p_second_order, result.criterion_value))
+    lines.append("summary,%r,%r,,%r\r\n" % (p_exact[-1], p_so, criterion))
     if oracle:
         lines.append("oracle,%r,,%r,\r\n" % (
             summary["p_oracle"], summary["oracle_abs_gap"]))
@@ -366,15 +362,10 @@ def _sweep_point(base, point, schedule_for):
         **base, **{k: v for k, v in point if k not in SCHEDULE_PARAMS}
     )
     schedule, regime = schedule_for(tuple(kv for kv in point if kv[0] in SCHEDULE_PARAMS))
-    result = evolution.survival_series(config, schedule)
-    return (
-        config.n,
-        family_eta(schedule, config.n),
-        result.p_exact,
-        result.p_second_order,
-        result.criterion_value,
-        regime,
-    )
+    p_exact = evolution.propagate_projected(config.step_unitary(), schedule, config.n)
+    eta = family_eta(schedule, config.n)
+    p_so, criterion = analysis.second_order_with_criterion(eta, config)
+    return config.n, eta, p_exact[-1], p_so, criterion, regime
 
 
 @main.command()

@@ -12,48 +12,26 @@ Two independent routes compute the same number:
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis
 from .errors import CapacityError, ValidationError
-from .schedules import OverlapSchedule, family_eta, realize
-from .unitary import EvolutionConfig, FreeEvolutionUnitary
+from .schedules import OverlapSchedule, realize
+from .unitary import FreeEvolutionUnitary
 
 ORACLE_MAX_STEPS = 20
 _ORACLE_CHUNK = 1 << 15
 
 
-@dataclass(frozen=True)
-class SurvivalResult:
-    """Exact and second-order survival for one run.
-
-    series holds the exact survival probability after each of the n
-    steps. p_second_order and criterion_value use the schedule's shared
-    eta (mean overlap modulus for explicit schedules).
-    """
-
-    p_exact: float
-    p_second_order: float
-    criterion_value: float
-    series: tuple[float, ...]
-
-
 def propagate_projected(
-    U: FreeEvolutionUnitary,
-    schedule: OverlapSchedule,
-    n: int,
-    config: EvolutionConfig | None = None,
-) -> SurvivalResult:
+    U: FreeEvolutionUnitary, schedule: OverlapSchedule, n: int
+) -> list[float]:
     """O(n) projected propagation of the chain.
 
     Keeps the amplitude pair (A_0, A_1) of the system conditioned on
     every environment so far having recorded 0; the overlap multiplies
-    A_1 only, since <E_0|E_0> = 1. When config is given, the
-    second-order comparison uses its exact V*delta^2; otherwise |b|^2 is
-    used as the step's quadratic weight.
+    A_1 only, since <E_0|E_0> = 1. Returns the survival probability
+    |A_0|^2 after each of the n steps.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -66,20 +44,7 @@ def propagate_projected(
     for ov in overlaps:
         a0, a1 = c_eq_0 * a0 + c_neq_0 * a1, (c_neq_1 * a0 + c_eq_1 * a1) * ov
         series.append(abs(a0) ** 2)
-    p_exact = series[-1]
-
-    eta = family_eta(schedule, n)
-    if config is not None:
-        p_so, criterion = analysis.second_order_with_criterion(eta, config)
-    else:
-        p_so = 1.0 - 2.0 * analysis.zeno_sum(eta, n) * abs(U.b) ** 2
-        criterion = analysis.criterion_value(eta, n)
-    return SurvivalResult(
-        p_exact=p_exact,
-        p_second_order=p_so,
-        criterion_value=criterion,
-        series=tuple(series),
-    )
+    return series
 
 
 def _branch_amplitude(
@@ -123,37 +88,3 @@ def enumerate_branches(
             f"cap of {ORACLE_MAX_STEPS}"
         )
     return abs(_branch_amplitude(U, realize(schedule, n), n)) ** 2
-
-
-BWord = namedtuple("BWord", ["bits", "returns_to_start"])
-
-_FLIP_CHARS = {"≠", "!", "x"}
-_HOLD_CHARS = {"="}
-
-
-def b_word_from_alpha(alpha: str) -> BWord:
-    """State word induced by a branch word: flips on '!=' , holds on '='.
-
-    Accepts '=' for a state-preserving step and any of '≠', '!', 'x' for
-    a flip. Returns the bits b_1..b_n and whether b_n = 0.
-    """
-    if not alpha:
-        raise ValidationError("branch word must be nonempty")
-    bits = []
-    state = 0
-    for ch in alpha:
-        if ch in _FLIP_CHARS:
-            state ^= 1
-        elif ch not in _HOLD_CHARS:
-            raise ValidationError(f"unexpected character {ch!r} in branch word")
-        bits.append(state)
-    return BWord(tuple(bits), bits[-1] == 0)
-
-
-def survival_series(
-    config: EvolutionConfig, schedule: OverlapSchedule
-) -> SurvivalResult:
-    """Run the chain defined by config and attach second-order comparisons."""
-    return propagate_projected(
-        config.step_unitary(), schedule, config.n, config=config
-    )

@@ -94,7 +94,11 @@ def family_eta(schedule: OverlapSchedule, n: int) -> float:
     if isinstance(schedule, ConstantOverlap):
         return abs(schedule.eta)
     if isinstance(schedule, PowerLawOverlap):
-        eta = 1.0 - schedule.alpha / n**schedule.beta
+        try:
+            decay = schedule.alpha / n**schedule.beta
+        except OverflowError:  # n^beta is past the floats; its logarithm is not
+            decay = math.exp(math.log(schedule.alpha) - schedule.beta * math.log(n))
+        eta = 1.0 - decay
         if eta < 0:
             raise ValidationError(
                 f"power-law overlap 1 - {schedule.alpha}/{n}^{schedule.beta} = "

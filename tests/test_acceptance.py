@@ -37,8 +37,7 @@ from zenokit import (
     numeric_limit_probe,
     propagate_projected,
     quadratic_validity_time,
-    second_order_pn,
-    survival_series,
+    second_order_with_criterion,
     zeno_sum,
 )
 from zenokit.cli import main as cli_main
@@ -64,7 +63,7 @@ def test_criterion_1_oracle_equivalence():
         phases = rng.uniform(0, 2 * math.pi, n)
         sched = ExplicitOverlaps(overlaps=tuple(mods * np.exp(1j * phases)))
         gap = abs(
-            propagate_projected(u, sched, n).p_exact
+            propagate_projected(u, sched, n)[-1]
             - enumerate_branches(u, sched, n)
         )
         worst = max(worst, gap)
@@ -86,17 +85,17 @@ def test_criterion_2_limiting_cases():
     for omega, T, n in points:
         cfg = EvolutionConfig(omega=omega, T=T, n=n)
         u = cfg.step_unitary()
-        p1 = propagate_projected(u, ConstantOverlap(eta=1.0), n).p_exact
+        p1 = propagate_projected(u, ConstantOverlap(eta=1.0), n)[-1]
         direct = abs(np.linalg.matrix_power(u.matrix(), n)[0, 0]) ** 2
         assert abs(p1 - direct) <= 1e-12
-        p0 = propagate_projected(u, ConstantOverlap(eta=0.0), n).p_exact
+        p0 = propagate_projected(u, ConstantOverlap(eta=0.0), n)[-1]
         assert abs(p0 - abs(u.a) ** (2 * n)) <= 1e-12
         # second order reduces to the two closed forms exactly
         V, delta = cfg.V, cfg.delta
-        assert second_order_pn(1.0, cfg) == pytest.approx(
+        assert second_order_with_criterion(1.0, cfg)[0] == pytest.approx(
             1 - V * (n * delta) ** 2, abs=1e-12
         )
-        assert second_order_pn(0.0, cfg) == pytest.approx(
+        assert second_order_with_criterion(0.0, cfg)[0] == pytest.approx(
             1 - n * V * delta**2, abs=1e-12
         )
     report(2, "eta=1 and eta=0 closed forms recovered on a 50-point grid")
@@ -110,8 +109,11 @@ def test_criterion_3_second_order_residual_shrinks_like_delta_fourth():
             gaps = []
             for T in (0.2, 0.1, 0.05):
                 cfg = EvolutionConfig(omega=1.0, T=T, n=n)
-                r = survival_series(cfg, ConstantOverlap(eta=eta))
-                gaps.append(abs(r.p_exact - r.p_second_order))
+                p_exact = propagate_projected(
+                    cfg.step_unitary(), ConstantOverlap(eta=eta), n
+                )[-1]
+                p_so = second_order_with_criterion(eta, cfg)[0]
+                gaps.append(abs(p_exact - p_so))
             for wide, narrow in zip(gaps, gaps[1:]):
                 ratio = wide / narrow
                 worst_ratio = min(worst_ratio, ratio)

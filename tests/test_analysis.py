@@ -17,14 +17,10 @@ from zenokit import (
     intermediate_coefficient,
     limit_pn,
     numeric_limit_probe,
-    second_order_pn,
+    second_order_with_criterion,
     zeno_sum,
 )
-from zenokit.analysis import (
-    second_order_partial,
-    second_order_series,
-    second_order_with_criterion,
-)
+from zenokit.analysis import second_order_partial, second_order_series
 
 
 class TestZenoSum:
@@ -57,22 +53,24 @@ class TestZenoSum:
 class TestSecondOrder:
     def test_no_decoherence_gives_global_quadratic_decay(self):
         cfg = EvolutionConfig(omega=1.0, T=0.1, n=50)
-        assert second_order_pn(1.0, cfg) == pytest.approx(1 - 0.01, abs=1e-14)
+        p_so = second_order_with_criterion(1.0, cfg)[0]
+        assert p_so == pytest.approx(1 - 0.01, abs=1e-14)
 
     def test_perfect_decoherence_gives_zeno_scaling(self):
         cfg = EvolutionConfig(omega=1.0, T=0.1, n=50)
-        assert second_order_pn(0.0, cfg) == pytest.approx(1 - 0.01 / 50, abs=1e-14)
+        p_so = second_order_with_criterion(0.0, cfg)[0]
+        assert p_so == pytest.approx(1 - 0.01 / 50, abs=1e-14)
 
     def test_mid_eta_value(self):
         cfg = EvolutionConfig(omega=1.0, T=0.1, n=4)
-        assert second_order_pn(0.5, cfg) == pytest.approx(
+        assert second_order_with_criterion(0.5, cfg)[0] == pytest.approx(
             1 - 2 * 4.125 * 0.025**2, abs=1e-14
         )
 
     def test_warns_when_step_too_coarse(self):
         cfg = EvolutionConfig(omega=1.0, T=2.0, n=5)
         with pytest.warns(UserWarning, match="unreliable") as record:
-            second_order_pn(0.5, cfg)
+            second_order_with_criterion(0.5, cfg)
         assert record[0].filename == __file__
 
 
@@ -119,7 +117,7 @@ class TestSecondOrderWithCriterion:
     def test_equals_separate_calls(self, eta):
         cfg = EvolutionConfig(omega=0.7, T=0.9, n=777)
         assert second_order_with_criterion(eta, cfg) == (
-            second_order_pn(eta, cfg),
+            1.0 - 2.0 * zeno_sum(eta, cfg.n) * (cfg.V * cfg.delta**2),
             criterion_value(eta, cfg.n),
         )
 

@@ -16,7 +16,7 @@ from zenokit import (
     cli,
     enumerate_branches,
     family_eta,
-    survival_series,
+    propagate_projected,
 )
 from zenokit.cli import main
 
@@ -34,16 +34,17 @@ def simulate_reference(fmt, omega, T, n, schedule, schedule_fields, oracle):
     """simulate's output rebuilt from library values with csv.writer or
     json.dumps(indent=2)."""
     config = EvolutionConfig(omega=omega, T=T, n=n)
-    result = survival_series(config, schedule)
-    so = analysis.second_order_series(family_eta(schedule, n), config)
+    series = propagate_projected(config.step_unitary(), schedule, n)
+    eta = family_eta(schedule, n)
+    p_so, criterion = analysis.second_order_with_criterion(eta, config)
+    so = analysis.second_order_series(eta, config)
     rows = [(i, pe, ps, abs(pe - ps))
-            for i, (pe, ps) in enumerate(zip(result.series, so), start=1)]
-    summary = {"p_exact": result.p_exact, "p_second_order": result.p_second_order,
-               "criterion": result.criterion_value}
+            for i, (pe, ps) in enumerate(zip(series, so), start=1)]
+    summary = {"p_exact": series[-1], "p_second_order": p_so, "criterion": criterion}
     if oracle:
         p_oracle = enumerate_branches(config.step_unitary(), schedule, n)
         summary["p_oracle"] = p_oracle
-        summary["oracle_abs_gap"] = abs(result.p_exact - p_oracle)
+        summary["oracle_abs_gap"] = abs(series[-1] - p_oracle)
     if fmt == "json":
         return json.dumps({
             "config": {"omega": omega, "T": T, "n": n},
@@ -56,8 +57,7 @@ def simulate_reference(fmt, omega, T, n, schedule, schedule_fields, oracle):
     writer = csv.writer(buf)
     writer.writerow(("step", "p_exact", "p_second_order", "abs_gap", "criterion"))
     writer.writerows((s, repr(pe), repr(ps), repr(g), "") for s, pe, ps, g in rows)
-    writer.writerow(("summary", repr(result.p_exact), repr(result.p_second_order),
-                     "", repr(result.criterion_value)))
+    writer.writerow(("summary", repr(series[-1]), repr(p_so), "", repr(criterion)))
     if oracle:
         writer.writerow(("oracle", repr(summary["p_oracle"]), "",
                          repr(summary["oracle_abs_gap"]), ""))
@@ -350,6 +350,32 @@ class TestInvalidInput:
         assert "No such option" in r.output
 
 
+class TestSteepPowerLaw:
+    """A power law whose n^beta is past the float range has eta_n = 1."""
+
+    def test_simulate_prints_the_eta_one_rows(self, runner):
+        run = ("simulate", "--omega", "1", "--T", "1", "--n", "64")
+        r = invoke(runner, *run, "--schedule", "power-law", "--alpha", "1",
+                   "--beta", "200")
+        assert r.exit_code == 0
+        assert r.stdout == invoke(runner, *run, "--eta", "1").stdout
+
+    def test_classify_probes_eta_one(self, runner):
+        run = ("classify", "--n-max", "4096")
+        r = invoke(runner, *run, "--schedule", "power-law", "--alpha", "1",
+                   "--beta", "200")
+        assert r.exit_code == 0
+        numeric = json.loads(r.stdout)["numeric"]
+        assert numeric == json.loads(invoke(runner, *run, "--eta", "1").stdout)["numeric"]
+
+    def test_sweep_rows_have_eta_one(self, runner):
+        r = invoke(runner, "sweep", "--grid", "beta=150,200", "--schedule", "power-law",
+                   "--alpha", "1", "--n", "64")
+        assert r.exit_code == 0
+        rows = list(csv.DictReader(io.StringIO(r.stdout)))
+        assert [row["eta_n"] for row in rows] == ["1.0", "1.0"]
+
+
 class TestClassify:
     def test_power_law_zeno(self, runner):
         r = invoke(
@@ -502,13 +528,14 @@ class TestSweep:
                          "regime"))
         for eta in etas:
             for omega in omegas:
-                result = survival_series(
-                    EvolutionConfig(omega=omega, T=0.6, n=50), ConstantOverlap(eta=eta)
-                )
+                config = EvolutionConfig(omega=omega, T=0.6, n=50)
+                p_exact = propagate_projected(
+                    config.step_unitary(), ConstantOverlap(eta=eta), 50
+                )[-1]
+                p_so, criterion = analysis.second_order_with_criterion(eta, config)
                 regime = "FreeEvolution" if eta == 1.0 else "Zeno"
-                writer.writerow((50, repr(eta), repr(result.p_exact),
-                                 repr(result.p_second_order),
-                                 repr(result.criterion_value), regime))
+                writer.writerow((50, repr(eta), repr(p_exact), repr(p_so),
+                                 repr(criterion), regime))
         assert r.stdout_bytes == buf.getvalue().encode()
 
     def test_config_schedule_object_keeps_its_eta(self, runner, tmp_path):

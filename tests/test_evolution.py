@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from zenokit import (
     CapacityError,
@@ -9,13 +11,11 @@ from zenokit import (
     EvolutionConfig,
     ExplicitOverlaps,
     PowerLawOverlap,
-    ValidationError,
-    b_word_from_alpha,
     enumerate_branches,
     make_general_unitary,
     make_rabi_unitary,
     propagate_projected,
-    survival_series,
+    second_order_with_criterion,
 )
 
 
@@ -33,30 +33,38 @@ def random_overlaps(rng, n):
     return ExplicitOverlaps(overlaps=tuple(mods * np.exp(1j * phases)))
 
 
-class TestBWord:
-    def test_all_holds(self):
-        assert b_word_from_alpha("====") == ((0, 0, 0, 0), True)
+angles = st.floats(0.0, 2 * math.pi)
 
-    def test_two_flips_cancel(self):
-        assert b_word_from_alpha("≠≠==") == ((1, 0, 0, 0), True)
 
-    def test_separated_flips_count_eta_powers(self):
-        bits, back = b_word_from_alpha("≠==≠=")
-        assert bits == (1, 1, 1, 0, 0)
-        assert back is True
-        assert sum(bits) == 3  # contributes eta^3 in the cross-term count
+@st.composite
+def unitaries(draw):
+    theta = draw(st.floats(0.0, math.pi / 2))
+    return make_general_unitary(
+        math.cos(theta) * cmath.exp(1j * draw(angles)),
+        math.sin(theta) * cmath.exp(1j * draw(angles)),
+        draw(angles),
+    )
 
-    def test_odd_flip_count_leaves_state(self):
-        assert b_word_from_alpha("≠").returns_to_start is False
 
-    def test_ascii_aliases(self):
-        assert b_word_from_alpha("x=!") == b_word_from_alpha("≠=≠")
+@st.composite
+def explicit_schedules(draw):
+    n = draw(st.integers(1, 64))
+    moduli = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return ExplicitOverlaps(overlaps=tuple(r * cmath.exp(1j * draw(angles)) for r in moduli))
 
-    def test_rejects_empty_and_garbage(self):
-        with pytest.raises(ValidationError):
-            b_word_from_alpha("")
-        with pytest.raises(ValidationError):
-            b_word_from_alpha("=?=")
+
+class TestSurvivalListProperties:
+    @given(unitaries(), st.integers(1, 64))
+    def test_full_decoherence_gives_stay_probability_powers(self, u, n):
+        series = propagate_projected(u, ConstantOverlap(eta=0.0), n)
+        assert len(series) == n
+        for i, p in enumerate(series, start=1):
+            assert abs(p - abs(u.a) ** (2 * i)) <= 1e-12
+
+    @given(unitaries(), explicit_schedules())
+    def test_every_entry_is_a_probability(self, u, schedule):
+        series = propagate_projected(u, schedule, len(schedule.overlaps))
+        assert all(0.0 <= p <= 1.0 + 1e-12 for p in series)
 
 
 class TestEnumerateBranches:
@@ -86,7 +94,7 @@ class TestOracleEquivalence:
             n = int(rng.integers(1, 13))
             u = random_unitary(rng)
             sched = random_overlaps(rng, n)
-            p_fast = propagate_projected(u, sched, n).p_exact
+            p_fast = propagate_projected(u, sched, n)[-1]
             p_oracle = enumerate_branches(u, sched, n)
             assert abs(p_fast - p_oracle) <= 1e-12
             assert -1e-12 <= p_fast <= 1 + 1e-12
@@ -96,43 +104,53 @@ class TestPropagateProjected:
     def test_eta_one_equals_matrix_power(self):
         for omega, T, n in [(1.0, 1.0, 10), (0.7, 2.0, 6), (2.0, 0.5, 17)]:
             u = make_rabi_unitary(omega, T / n)
-            p = propagate_projected(u, ConstantOverlap(eta=1.0), n).p_exact
+            p = propagate_projected(u, ConstantOverlap(eta=1.0), n)[-1]
             direct = abs(np.linalg.matrix_power(u.matrix(), n)[0, 0]) ** 2
             assert abs(p - direct) <= 1e-12
 
     def test_eta_zero_closed_form(self):
         u = make_rabi_unitary(1.0, 0.1)
-        p = propagate_projected(u, ConstantOverlap(eta=0.0), 10).p_exact
+        p = propagate_projected(u, ConstantOverlap(eta=0.0), 10)[-1]
         assert abs(p - math.cos(0.1) ** 20) <= 1e-12
         assert p == pytest.approx(0.90469, abs=1e-5)
 
     def test_undisturbed_run_recovers_global_rotation(self):
         u = make_rabi_unitary(1.0, 0.1)
-        p = propagate_projected(u, ConstantOverlap(eta=1.0), 10).p_exact
+        p = propagate_projected(u, ConstantOverlap(eta=1.0), 10)[-1]
         assert p == pytest.approx(math.cos(1.0) ** 2, abs=1e-12)
 
     def test_series_is_recorded_per_step(self):
         u = make_rabi_unitary(1.0, 0.2)
-        r = propagate_projected(u, ConstantOverlap(eta=0.5), 6)
-        assert len(r.series) == 6
-        assert r.series[-1] == r.p_exact
-        assert all(0.0 <= p <= 1.0 + 1e-12 for p in r.series)
+        series = propagate_projected(u, ConstantOverlap(eta=0.5), 6)
+        assert len(series) == 6
+        # entry i is the survival of the run cut after step i
+        assert series == [
+            propagate_projected(u, ConstantOverlap(eta=0.5), i)[-1] for i in range(1, 7)
+        ]
+        assert all(0.0 <= p <= 1.0 + 1e-12 for p in series)
 
 
 class TestSurvivalSeries:
+    """The chain of one EvolutionConfig, as the CLI runs it."""
+
+    @staticmethod
+    def run(cfg, schedule):
+        return propagate_projected(cfg.step_unitary(), schedule, cfg.n)
+
     def test_frozen_without_free_evolution(self):
         cfg = EvolutionConfig(omega=0.0, T=1.0, n=5)
-        r = survival_series(cfg, ConstantOverlap(eta=0.3))
-        assert r.p_exact == 1.0
-        assert all(p == 1.0 for p in r.series)
+        series = self.run(cfg, ConstantOverlap(eta=0.3))
+        assert series[-1] == 1.0
+        assert all(p == 1.0 for p in series)
 
     def test_matches_closed_forms_at_eta_one(self):
         cfg = EvolutionConfig(omega=1.0, T=0.1, n=100)
-        r = survival_series(cfg, ConstantOverlap(eta=1.0))
-        assert r.p_exact == pytest.approx(math.cos(0.1) ** 2, abs=1e-12)
-        assert r.p_second_order == pytest.approx(0.99, abs=1e-12)
+        p_exact = self.run(cfg, ConstantOverlap(eta=1.0))[-1]
+        assert p_exact == pytest.approx(math.cos(0.1) ** 2, abs=1e-12)
+        p_so = second_order_with_criterion(1.0, cfg)[0]
+        assert p_so == pytest.approx(0.99, abs=1e-12)
 
     def test_strong_zeno_schedule_stays_near_one(self):
         cfg = EvolutionConfig(omega=1.0, T=1.0, n=10**6)
-        r = survival_series(cfg, PowerLawOverlap(alpha=1.0, beta=0.5))
-        assert abs(r.p_exact - 1.0) < 1e-2
+        p_exact = self.run(cfg, PowerLawOverlap(alpha=1.0, beta=0.5))[-1]
+        assert abs(p_exact - 1.0) < 1e-2

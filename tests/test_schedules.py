@@ -31,6 +31,14 @@ def test_power_law_eta_value():
     assert family_eta(PowerLawOverlap(alpha=1.0, beta=2.0), 10) == pytest.approx(0.99)
 
 
+def test_power_law_eta_when_n_to_the_beta_overflows():
+    # 2**1024.5 is past the floats; alpha / 2**1024.5 is not
+    assert family_eta(PowerLawOverlap(alpha=1.0, beta=200.0), 64) == 1.0
+    want = 1.0 - 1e308 / 2.0**1000 / 2.0**24.5
+    got = family_eta(PowerLawOverlap(alpha=1e308, beta=1024.5), 2)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_power_law_rejects_negative_overlap_at_small_n():
     with pytest.raises(ValidationError, match="negative"):
         family_eta(PowerLawOverlap(alpha=2.0, beta=1.0), 1)
