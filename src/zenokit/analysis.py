@@ -22,7 +22,6 @@ import numpy as np
 from .errors import UnclassifiableScheduleError, ValidationError
 from .schedules import (
     ConstantOverlap,
-    ExplicitOverlaps,
     ExponentialOverlap,
     OverlapSchedule,
     PowerLawOverlap,
@@ -209,8 +208,6 @@ def classify_schedule(schedule: OverlapSchedule) -> RegimeClassification:
 
 def limit_pn(schedule: OverlapSchedule, V: float, T: float) -> float:
     """Limiting survival probability of a family schedule as n -> infinity."""
-    if isinstance(schedule, ExplicitOverlaps):
-        raise ValidationError("explicit schedules have no analytic limit")
     return classify_schedule(schedule).limit_p(V, T)
 
 

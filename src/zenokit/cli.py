@@ -195,6 +195,17 @@ def _csv(header, rows):
     return buf.getvalue()
 
 
+def _require_finite(numbers, where):
+    """Refuse a result with a non-finite number before anything is printed.
+
+    where(i), for the index i of the first such number, names its place
+    and the run in the ValidationError.
+    """
+    if not all(map(math.isfinite, numbers)):
+        i = next(i for i, x in enumerate(numbers) if not math.isfinite(x))
+        raise ValidationError(f"survival is not finite {where(i)}; no rows printed")
+
+
 # One element of simulate's "series" list as json.dumps(indent=2) nests it.
 _JSON_SERIES_ITEM = """\
     {
@@ -230,13 +241,11 @@ def simulate(opts):
         summary["p_oracle"] = p_oracle
         summary["oracle_abs_gap"] = abs(p_exact[-1] - p_oracle)
     # A gap is finite only if both of its row's probabilities are.
-    if not all(map(math.isfinite, itertools.chain(gaps, summary.values()))):
-        step = next((i for i, g in enumerate(gaps, 1) if not math.isfinite(g)), None)
-        raise ValidationError(
-            f"survival is not finite {f'at step {step}' if step else 'in the summary'}"
-            f" for omega = {config.omega!r}, T = {config.T!r}, n = {config.n}; "
-            "no rows printed"
-        )
+    _require_finite(
+        [*gaps, *summary.values()],
+        lambda i: f"{f'at step {i + 1}' if i < len(gaps) else 'in the summary'} for "
+                  f"omega = {config.omega!r}, T = {config.T!r}, n = {config.n}",
+    )
 
     # The per-step rows skip the generic encoders: each is formatted once
     # into the bytes csv.writer or json.dumps(indent=2) would give, which
@@ -269,22 +278,18 @@ def classify(opts):
     """Analytic regime of a schedule family, with a numeric cross-check."""
     schedule = schedule_from_dict(opts.schedule())
     fmt = opts["format"]
-    variance = opts["V"]
-    if variance is None:
-        omega = opts["omega"]
-        try:
-            variance = omega**2
-        except OverflowError:
-            raise ValidationError(
-                f"omega = {omega} puts V = omega^2 beyond the float range"
-            ) from None
-    elif not (math.isfinite(variance) and variance >= 0):
+    variance, t_total = opts["V"], opts["T"]
+    if variance is not None and not (math.isfinite(variance) and variance >= 0):
         raise ValidationError(f"V must be finite and >= 0, got {variance}")
-    t_total = opts["T"]
+    omega = opts["omega"] if variance is None else math.sqrt(variance)
+    config = EvolutionConfig(omega=omega, T=t_total, n=64)
+    variance = config.V if variance is None else variance
 
     analytic = analysis.classify_schedule(schedule)
-    config = EvolutionConfig(omega=math.sqrt(variance), T=t_total, n=64)
     numeric = analysis.numeric_limit_probe(schedule, config, opts["n_max"])
+    limit_p = analytic.limit_p(variance, t_total)
+    _require_finite([limit_p, numeric.extrapolated_limit],
+                    lambda _: f"for V = {variance!r}, T = {t_total!r}")
     record = {
         "schedule": schedule_to_dict(schedule),
         "V": variance,
@@ -292,7 +297,7 @@ def classify(opts):
         "analytic": {
             "label": analytic.label.value,
             "limit_coefficient": analytic.limit_coefficient,
-            "limit_p": analytic.limit_p(variance, t_total),
+            "limit_p": limit_p,
         },
         "numeric": {
             "label": numeric.label.value,
@@ -306,7 +311,7 @@ def classify(opts):
         return _json(record)
     return _csv(
         ("label", "limit_p", "numeric_label", "numeric_limit", "converged", "agreement"),
-        [(analytic.label.value, repr(record["analytic"]["limit_p"]), numeric.label.value,
+        [(analytic.label.value, repr(limit_p), numeric.label.value,
           repr(numeric.extrapolated_limit), numeric.converged, record["agreement"])],
     )
 
@@ -410,6 +415,10 @@ def sweep(opts):
     # The grid's own values replace these in each point's config.
     base = {k: opts[k] for k in ("omega", "T", "n") if k not in names}
     rows = [_sweep_point(base, point, schedule_for) for point in points]
+    _require_finite(
+        [x for row in rows for x in row[1:5]],
+        lambda i: "at grid point " + ", ".join(f"{k} = {v!r}" for k, v in points[i // 4]),
+    )
 
     header = ("n", "eta_n", "p_exact", "p_second_order", "criterion", "regime")
     if fmt == "json":

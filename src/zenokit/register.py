@@ -60,30 +60,8 @@ class DensityMatrix2:
         object.__setattr__(self, "matrix", m)
 
     @property
-    def rho_00(self) -> complex:
-        return complex(self.matrix[0, 0])
-
-    @property
-    def rho_01(self) -> complex:
-        return complex(self.matrix[0, 1])
-
-    @property
-    def rho_10(self) -> complex:
-        return complex(self.matrix[1, 0])
-
-    @property
-    def rho_11(self) -> complex:
-        return complex(self.matrix[1, 1])
-
-    @property
     def coherence(self) -> float:
         return abs(self.matrix[0, 1])
-
-
-def make_register(amplitudes) -> QubitRegister:
-    amps = np.asarray(amplitudes, dtype=complex)
-    k = int(np.log2(amps.size))
-    return QubitRegister(k=k, amplitudes=amps)
 
 
 def apply_cnot(state: QubitRegister, control: int, target: int) -> QubitRegister:

@@ -86,8 +86,10 @@ OverlapSchedule = Union[ConstantOverlap, PowerLawOverlap, ExponentialOverlap, Ex
 def family_eta(schedule: OverlapSchedule, n: int) -> float:
     """The shared real overlap a family schedule realizes for an n-step run.
 
-    For an explicit schedule there is no single eta; the mean modulus is
-    returned as a representative value for second-order comparisons.
+    For an explicit schedule there is no single eta; the mean modulus,
+    capped at 1 (each modulus may exceed 1 by the rounding slack that
+    ExplicitOverlaps admits), is returned as a representative value for
+    second-order comparisons.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -116,7 +118,7 @@ def family_eta(schedule: OverlapSchedule, n: int) -> float:
     if isinstance(schedule, ExplicitOverlaps):
         if not schedule.overlaps:
             raise ValidationError("explicit schedule is empty")
-        return sum(abs(o) for o in schedule.overlaps) / len(schedule.overlaps)
+        return min(sum(map(abs, schedule.overlaps)) / len(schedule.overlaps), 1.0)
     raise ValidationError(f"unknown schedule type {type(schedule).__name__}")
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,12 +105,6 @@ class EvolutionConfig:
             raise ValidationError(
                 f"omega = {self.omega!r} and T = {self.T!r} put V = omega^2 or "
                 "V*delta^2 beyond the float range"
-            )
-        if v_delta2 >= 1.0:
-            warnings.warn(
-                f"V*delta^2 = {v_delta2:.3g} >= 1; "
-                "second-order comparisons are not meaningful at this step size",
-                stacklevel=2,
             )
 
     @property

@@ -121,12 +121,6 @@ class TestSecondOrderWithCriterion:
             criterion_value(eta, cfg.n),
         )
 
-    def test_warns_at_callers_line_when_step_too_coarse(self):
-        cfg = EvolutionConfig(omega=1.0, T=2.0, n=5)
-        with pytest.warns(UserWarning, match="unreliable") as record:
-            second_order_with_criterion(0.5, cfg)
-        assert record[0].filename == __file__
-
 
 class TestCriterionValue:
     def test_vanishes_at_eta_zero(self):

@@ -14,12 +14,19 @@ from zenokit import (
     PowerLawOverlap,
     analysis,
     cli,
+    criterion_value,
     enumerate_branches,
     family_eta,
     propagate_projected,
 )
 from zenokit.cli import main
 
+# Four z/abs(z) whose modulus rounds to 1 + 2.2e-16, within the slack
+# ExplicitOverlaps admits; their mean modulus is capped at eta = 1.
+NORMALISED_OVERLAPS = ",".join(map(repr, [
+    u for u in (z / abs(z) for z in (complex(k, 1.0) for k in range(1, 200)))
+    if abs(u) > 1.0
+][:4]))
 
 @pytest.fixture
 def runner():
@@ -180,6 +187,15 @@ class TestSimulate:
         assert r.exit_code == 2
         assert r.stdout == ""
         assert "survival is not finite at step 2" in r.output
+
+    def test_normalised_explicit_overlaps_run(self, runner):
+        r = invoke(
+            runner, "simulate", "--omega", "1", "--T", "0.5", "--n", "4",
+            "--schedule", "explicit", "--overlaps", NORMALISED_OVERLAPS,
+            "--format", "json",
+        )
+        assert r.exit_code == 0
+        assert json.loads(r.output)["summary"]["criterion"] == criterion_value(1.0, 4)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_writer_refuses_non_finite_value(self, runner, monkeypatch, fmt):
@@ -431,13 +447,30 @@ class TestClassify:
         assert json.loads(r.output)["schedule"] == {
             "type": "power-law", "alpha": 1.0, "beta": 2.0}
 
+    def test_negative_omega_exit_code(self, runner):
+        r = invoke(runner, "classify", "--eta", "0.5", "--omega", "-1")
+        assert r.exit_code == 2
+        assert "error: omega must be finite and >= 0, got -1.0" in r.output
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_limit_is_not_printed(self, runner, fmt):
+        # 1 - V*T^2 overflows to -inf, and the extrapolation to nan
+        with pytest.warns(UserWarning, match="unreliable"):
+            r = invoke(
+                runner, "classify", "--schedule", "constant", "--eta", "1",
+                "--V", "1e300", "--T", "1e5", "--n-max", "4096", "--format", fmt,
+            )
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert "error: survival is not finite for V = 1e+300, T = 100000.0" in r.output
+
     def test_overflowing_omega_exit_code(self, runner):
         r = invoke(
             runner, "classify", "--schedule", "constant", "--eta", "0.5",
             "--omega", "1e200",
         )
         assert r.exit_code == 2
-        assert "error: omega = 1e+200 puts V = omega^2 beyond" in r.output
+        assert "error: omega = 1e+200 and T = 1.0 put V = omega^2" in r.output
 
 
 class TestSweep:
@@ -547,6 +580,27 @@ class TestSweep:
         r = invoke(runner, "sweep", "--config", str(cfg))
         assert r.exit_code == 0
         assert [row["eta_n"] for row in json.loads(r.output)] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_second_order_is_not_printed(self, runner, fmt):
+        # V*delta^2 = 1e308 is finite, 2*S*V*delta^2 is not
+        with pytest.warns(UserWarning, match="unreliable"):
+            r = invoke(
+                runner, "sweep", "--grid", "omega=1,1e150", "--T", "2e4", "--n", "2",
+                "--eta", "0.5", "--format", fmt,
+            )
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert "error: survival is not finite at grid point omega = 1e+150" in r.output
+
+    def test_normalised_explicit_overlaps_run(self, runner):
+        r = invoke(
+            runner, "sweep", "--grid", "omega=0.5,1", "--T", "0.5", "--n", "4",
+            "--schedule", "explicit", "--overlaps", NORMALISED_OVERLAPS,
+            "--format", "json",
+        )
+        assert r.exit_code == 0
+        assert [row["eta_n"] for row in json.loads(r.output)] == [1.0, 1.0]
 
     def test_deterministic_output(self, runner):
         args = ("sweep", "--grid", "eta=lin:0:1:7", "--grid", "n=2,5,9",

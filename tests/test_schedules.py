@@ -91,6 +91,14 @@ def test_explicit_family_eta_is_mean_modulus():
     assert family_eta(sched, 3) == pytest.approx(0.5)
 
 
+def test_explicit_family_eta_of_normalised_overlaps_is_one():
+    # z/abs(z) may round to a modulus of 1 + 2.2e-16, within the slack
+    unit = (z / abs(z) for z in (complex(k, 1.0) for k in range(1, 200)))
+    overlaps = tuple(u for u in unit if abs(u) > 1.0)[:4]
+    assert len(overlaps) == 4
+    assert family_eta(ExplicitOverlaps(overlaps=overlaps), 4) == 1.0
+
+
 _positive = st.floats(min_value=1e-300, max_value=1e300)
 _unit = st.floats(min_value=-1.0, max_value=1.0)
 _overlap = st.one_of(

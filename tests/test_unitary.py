@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,8 @@ class TestEvolutionConfig:
         with pytest.raises(ValidationError):
             EvolutionConfig(**kwargs)
 
-    def test_warns_on_coarse_steps(self):
-        with pytest.warns(UserWarning, match="V\\*delta\\^2"):
-            EvolutionConfig(omega=10.0, T=1.0, n=2)
+    def test_coarse_steps_build_silently(self):
+        # the step-size warning belongs to the second-order formula alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert EvolutionConfig(omega=10.0, T=1.0, n=2).V * 0.25 == 25.0
