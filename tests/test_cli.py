@@ -28,6 +28,7 @@ NORMALISED_OVERLAPS = ",".join(map(repr, [
     if abs(u) > 1.0
 ][:4]))
 
+
 @pytest.fixture
 def runner():
     return CliRunner()

@@ -124,4 +124,5 @@ class TestEvolutionConfig:
         # the step-size warning belongs to the second-order formula alone
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert EvolutionConfig(omega=10.0, T=1.0, n=2).V * 0.25 == 25.0
+            cfg = EvolutionConfig(omega=10.0, T=1.0, n=2)
+        assert cfg.V * cfg.delta**2 == 25.0
