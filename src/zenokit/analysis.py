@@ -12,6 +12,7 @@ regime) iff S_tail / n^2 -> 0 as n grows with the schedule's eta_n.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import warnings
 from collections.abc import Iterator
@@ -33,6 +34,9 @@ from .unitary import EvolutionConfig
 # (1-eta)^2 and cancels catastrophically; switch to direct summation
 # (all terms positive, so plain compensated summation is stable).
 CLOSED_FORM_CROSSOVER = 1e-4
+# The direct sum makes its terms this many at a time, so that its memory
+# stays bounded at any n.
+DIRECT_SUM_CHUNK = 2**16
 
 
 class Regime(enum.Enum):
@@ -77,9 +81,13 @@ def _weighted_tail(eta: float, n: int) -> float:
         return 0.0
     if 1.0 - eta >= CLOSED_FORM_CROSSOVER:
         return _closed_form_tail(eta, n)
-    k = np.arange(1, n, dtype=float)
-    terms = (n - k) * np.power(eta, k)
-    return math.fsum(terms.tolist())
+    # One fsum over all the chunks' terms is as correctly rounded as over
+    # one array of them.
+    ks = (np.arange(i, min(i + DIRECT_SUM_CHUNK, n), dtype=float)
+          for i in range(1, n, DIRECT_SUM_CHUNK))
+    return math.fsum(itertools.chain.from_iterable(
+        memoryview((n - k) * np.power(eta, k)) for k in ks
+    ))
 
 
 def _weighted_tails(eta: float, n: int) -> Iterator[float]:
@@ -172,11 +180,29 @@ def second_order_series(eta: float, config: EvolutionConfig) -> list[float]:
     ]
 
 
+# Below this alpha, intermediate_coefficient sums its Taylor series, whose
+# coefficients are 2/(j+2)!. The closed form cancels there: against a
+# 500-digit mpmath value its relative error reaches 6.3e-16 on [1, 1.25],
+# 5e-15 at 0.1 and 1 at 1e-17 (k = 0). The 30-term series stays within
+# 2.7e-16 on (0, 2), and the closed form within 3.4e-16 on [2, 10]. At
+# alpha = 1 both give the same float.
+INTERMEDIATE_SERIES_CUT = 2.0
+_INTERMEDIATE_SERIES = tuple(2.0 / math.factorial(j + 2) for j in range(30))
+
+
 def intermediate_coefficient(alpha: float) -> float:
-    """k(alpha) = 2*(1/alpha + (exp(-alpha) - 1)/alpha^2) for the beta = 1 family."""
+    """k(alpha) = 2*(1/alpha + (exp(-alpha) - 1)/alpha^2) for the beta = 1 family.
+
+    Below INTERMEDIATE_SERIES_CUT it is 2*sum_j (-alpha)^j/(j+2)!, by
+    Horner's rule.
+    """
     if alpha <= 0:
         raise ValidationError(f"alpha must be > 0, got {alpha}")
-    # expm1 keeps the small-alpha limit (k -> 1) free of cancellation
+    if alpha < INTERMEDIATE_SERIES_CUT:
+        k = 0.0
+        for c in reversed(_INTERMEDIATE_SERIES):
+            k = k * -alpha + c
+        return k
     return 2.0 * (1.0 / alpha + math.expm1(-alpha) / alpha**2)
 
 

@@ -31,7 +31,7 @@ from .unitary import EvolutionConfig
 
 SWEEP_POINT_CAP = 10**6
 SWEEP_PARAMS = ("n", "eta", "alpha", "beta", "omega", "T")
-SCHEDULE_PARAMS = ("eta", "alpha", "beta")
+CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(EvolutionConfig))
 REQUIRED = object()
 
 
@@ -76,7 +76,8 @@ PARAMS = {
     "config": Param(click.Path(exists=True, dir_okay=False), None,
                     "JSON file with default parameter values."),
 }
-SCHEDULE_FIELDS = (*SCHEDULE_PARAMS, "overlaps")
+SCHEDULE_FIELDS = tuple(dict.fromkeys(  # each schedule type's fields, each once
+    field.name for cls in SCHEDULE_TYPES.values() for field in dataclasses.fields(cls)))
 SCHEDULE_OPTIONS = ("schedule", *SCHEDULE_FIELDS)
 
 
@@ -158,12 +159,9 @@ def _takes(*names, **defaults):
                 config = _load_config(flags.pop("config", None))
                 output = flags.pop("output")
                 _emit(fn(Options(flags, config, defaults)), output)
-            except CapacityError as exc:
+            except (CapacityError, ValidationError) as exc:
                 click.echo(f"error: {exc}", err=True)
-                sys.exit(3)
-            except ValidationError as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(2)
+                sys.exit(3 if isinstance(exc, CapacityError) else 2)
 
         for name in reversed(names):
             run = _option(name)(run)
@@ -189,9 +187,7 @@ def _json(obj):
 
 def _csv(header, rows):
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf).writerows((header, *rows))
     return buf.getvalue()
 
 
@@ -277,7 +273,6 @@ def simulate(opts):
 def classify(opts):
     """Analytic regime of a schedule family, with a numeric cross-check."""
     schedule = schedule_from_dict(opts.schedule())
-    fmt = opts["format"]
     variance, t_total = opts["V"], opts["T"]
     if variance is not None and not (math.isfinite(variance) and variance >= 0):
         raise ValidationError(f"V must be finite and >= 0, got {variance}")
@@ -303,16 +298,16 @@ def classify(opts):
             "label": numeric.label.value,
             "extrapolated_limit": numeric.extrapolated_limit,
             "converged": numeric.converged,
-            "diagnostics": [[n, c] for n, c in numeric.diagnostics],
+            "diagnostics": numeric.diagnostics,
         },
         "agreement": analytic.label == numeric.label,
     }
-    if fmt == "json":
+    if opts["format"] == "json":
         return _json(record)
     return _csv(
         ("label", "limit_p", "numeric_label", "numeric_limit", "converged", "agreement"),
-        [(analytic.label.value, repr(limit_p), numeric.label.value,
-          repr(numeric.extrapolated_limit), numeric.converged, record["agreement"])],
+        [(analytic.label.value, limit_p, numeric.label.value,
+          numeric.extrapolated_limit, numeric.converged, record["agreement"])],
     )
 
 
@@ -362,17 +357,6 @@ def _parse_grid(spec):
     return name, sorted(set(values))
 
 
-def _sweep_point(base, point, schedule_for):
-    config = EvolutionConfig(
-        **base, **{k: v for k, v in point if k not in SCHEDULE_PARAMS}
-    )
-    schedule, regime = schedule_for(tuple(kv for kv in point if kv[0] in SCHEDULE_PARAMS))
-    p_exact = evolution.propagate_projected(config.step_unitary(), schedule, config.n)
-    eta = family_eta(schedule, config.n)
-    p_so, criterion = analysis.second_order_with_criterion(eta, config)
-    return config.n, eta, p_exact[-1], p_so, criterion, regime
-
-
 @main.command()
 @_takes("grid", "omega", "T", "n", *SCHEDULE_OPTIONS, "format", "output", "config",
         format="csv")
@@ -395,17 +379,16 @@ def sweep(opts):
         raise CapacityError(f"grid has {total} points, above the cap of {SWEEP_POINT_CAP}")
 
     fields = {"eta": 1.0, **opts.schedule()}
-    fmt = opts["format"]
 
-    points = [
-        tuple(zip(names, combo))
-        for combo in itertools.product(*(values for _, values in parsed))
-    ]
-    # A schedule depends only on the point's schedule parameters, so it is
+    # A schedule depends only on the point's schedule values, so it is
     # built once per distinct set of them: once in all when none is swept.
     @functools.cache
     def schedule_for(swept):
         schedule = schedule_from_dict({**fields, **dict(swept)})
+        read = {field.name for field in dataclasses.fields(schedule)}
+        unread = [name for name, _ in swept if name not in read]
+        if unread:
+            raise ValidationError(f"the {fields['type']} schedule does not read {unread[0]}")
         try:
             regime = analysis.classify_schedule(schedule).label.value
         except UnclassifiableScheduleError:
@@ -413,20 +396,26 @@ def sweep(opts):
         return schedule, regime
 
     # The grid's own values replace these in each point's config.
-    base = {k: opts[k] for k in ("omega", "T", "n") if k not in names}
-    rows = [_sweep_point(base, point, schedule_for) for point in points]
-    _require_finite(
-        [x for row in rows for x in row[1:5]],
-        lambda i: "at grid point " + ", ".join(f"{k} = {v!r}" for k, v in points[i // 4]),
-    )
+    base = {k: opts[k] for k in CONFIG_FIELDS if k not in names}
+    rows = []
+    for combo in itertools.product(*(values for _, values in parsed)):
+        point = tuple(zip(names, combo))
+        config = EvolutionConfig(**base, **{k: v for k, v in point if k in CONFIG_FIELDS})
+        swept = tuple((k, v) for k, v in point if k not in CONFIG_FIELDS)
+        schedule, regime = schedule_for(swept)
+        p_exact = evolution.propagate_projected(config.step_unitary(), schedule, config.n)
+        eta = family_eta(schedule, config.n)
+        p_so, criterion = analysis.second_order_with_criterion(eta, config)
+        _require_finite(
+            (eta, p_exact[-1], p_so, criterion),
+            lambda _: "at grid point " + ", ".join(f"{k} = {v!r}" for k, v in point),
+        )
+        rows.append((config.n, eta, p_exact[-1], p_so, criterion, regime))
 
     header = ("n", "eta_n", "p_exact", "p_second_order", "criterion", "regime")
-    if fmt == "json":
+    if opts["format"] == "json":
         return _json([dict(zip(header, r)) for r in rows])
-    return _csv(
-        header,
-        [(r[0], repr(r[1]), repr(r[2]), repr(r[3]), repr(r[4]), r[5]) for r in rows],
-    )
+    return _csv(header, rows)
 
 
 PHYSICAL_MODELS = {
@@ -471,22 +460,18 @@ def physical_cmd(opts):
 @_takes("format", "output")
 def recohere(opts):
     """Decoherence/revival stages with a pre-entangled environment pair."""
-    stages = []
-    for label, rho, coherence in register.recoherence_demo():
-        stages.append({
-            "stage": label,
-            "rho": [
-                [[rho.matrix[i, j].real, rho.matrix[i, j].imag] for j in (0, 1)]
-                for i in (0, 1)
-            ],
-            "coherence": coherence,
-        })
+    stages = [
+        {"stage": label,
+         "rho": [[[z.real, z.imag] for z in row] for row in rho.matrix.tolist()],
+         "coherence": coherence}
+        for label, rho, coherence in register.recoherence_demo()
+    ]
     if opts["format"] == "json":
         return _json({"stages": stages})
-    rows = []
-    for s in stages:
-        flat = [x for entry in s["rho"] for pair in entry for x in pair]
-        rows.append((s["stage"], *[repr(v) for v in flat], repr(s["coherence"])))
+    rows = [
+        (s["stage"], *(x for row in s["rho"] for pair in row for x in pair), s["coherence"])
+        for s in stages
+    ]
     rho_columns = [f"rho_{i}{j}_{part}" for i in "01" for j in "01" for part in ("re", "im")]
     return _csv(("stage", *rho_columns, "coherence"), rows)
 

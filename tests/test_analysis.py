@@ -20,7 +20,12 @@ from zenokit import (
     second_order_with_criterion,
     zeno_sum,
 )
-from zenokit.analysis import second_order_partial, second_order_series
+from zenokit.analysis import (
+    DIRECT_SUM_CHUNK,
+    INTERMEDIATE_SERIES_CUT,
+    second_order_partial,
+    second_order_series,
+)
 
 
 class TestZenoSum:
@@ -48,6 +53,17 @@ class TestZenoSum:
         k = np.arange(1, n, dtype=float)
         direct = n / 2.0 + math.fsum(((n - k) * eta**k).tolist())
         assert abs(closed - direct) <= 1e-10 * direct
+
+    @pytest.mark.parametrize("n", [
+        DIRECT_SUM_CHUNK - 1, DIRECT_SUM_CHUNK, DIRECT_SUM_CHUNK + 1,
+        DIRECT_SUM_CHUNK + 2, 2 * DIRECT_SUM_CHUNK + 1, 3 * DIRECT_SUM_CHUNK + 7,
+    ])
+    @pytest.mark.parametrize("eta", [1.0, 1 - 1e-5, 1 - 3e-7])
+    def test_chunked_direct_sum_equals_one_array_sum(self, eta, n):
+        # reference: all n - 1 terms in one array, summed by one fsum
+        k = np.arange(1, n, dtype=float)
+        one_array = n / 2.0 + math.fsum(((n - k) * np.power(eta, k)).tolist())
+        assert zeno_sum(eta, n) == one_array
 
 
 class TestSecondOrder:
@@ -169,6 +185,19 @@ class TestClassify:
     def test_intermediate_coefficient_limits(self):
         assert intermediate_coefficient(1e-6) == pytest.approx(1.0, abs=1e-5)
         assert intermediate_coefficient(1e3) == pytest.approx(0.0, abs=3e-3)
+
+    def test_intermediate_coefficient_against_high_precision_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        alphas = np.geomspace(1e-300, 10.0, 400).tolist() + [
+            1e-17, 1e-8, 0.1, 0.25, 1.0, 2.0, 10.0,
+            math.nextafter(INTERMEDIATE_SERIES_CUT, 0.0), INTERMEDIATE_SERIES_CUT,
+        ]
+        with mpmath.workdps(500):
+            for alpha in alphas:
+                a = mpmath.mpf(alpha)
+                want = 2 * (1 / a + mpmath.expm1(-a) / a**2)
+                got = intermediate_coefficient(alpha)
+                assert abs((got - want) / want) <= 4.4e-16, alpha
 
     def test_explicit_is_numeric_only(self):
         with pytest.raises(UnclassifiableScheduleError, match="numeric-only"):

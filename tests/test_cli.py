@@ -465,6 +465,14 @@ class TestClassify:
         assert r.stdout == ""
         assert "error: survival is not finite for V = 1e+300, T = 100000.0" in r.output
 
+    def test_tiny_intermediate_alpha_runs(self, runner):
+        r = invoke(
+            runner, "classify", "--schedule", "power-law", "--alpha", "1e-200",
+            "--beta", "1", "--n-max", "64",
+        )
+        assert r.exit_code == 0
+        assert json.loads(r.output)["analytic"]["limit_coefficient"] == 1.0
+
     def test_overflowing_omega_exit_code(self, runner):
         r = invoke(
             runner, "classify", "--schedule", "constant", "--eta", "0.5",
@@ -603,6 +611,44 @@ class TestSweep:
         assert r.exit_code == 0
         assert [row["eta_n"] for row in json.loads(r.output)] == [1.0, 1.0]
 
+    def test_unread_schedule_field_exit_code(self, runner):
+        r = invoke(
+            runner, "sweep", "--grid", "eta=0.5,0.6", "--schedule", "power-law",
+            "--alpha", "1", "--beta", "2", "--n", "50",
+        )
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert "error: the power-law schedule does not read eta" in r.output
+
+    def test_unread_field_of_config_schedule_object_exit_code(self, runner, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"schedule": {"type": "constant", "eta": 0.5},
+                                   "grid": ["alpha=1,2"], "n": 10}))
+        r = invoke(runner, "sweep", "--config", str(cfg))
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert "error: the constant schedule does not read alpha" in r.output
+
+    def test_non_finite_point_is_reported_before_a_later_invalid_one(self, runner):
+        # omega = 1e150 gives a non-finite second order; omega = 1e200,
+        # after it in the grid, puts V = omega^2 beyond the floats
+        with pytest.warns(UserWarning, match="unreliable"):
+            r = invoke(
+                runner, "sweep", "--grid", "omega=1e150,1e200", "--T", "2e4",
+                "--n", "2", "--eta", "0.5",
+            )
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert "error: survival is not finite at grid point omega = 1e+150" in r.output
+
+    def test_tiny_intermediate_alpha_runs(self, runner):
+        r = invoke(
+            runner, "sweep", "--grid", "alpha=1e-200", "--schedule", "power-law",
+            "--beta", "1", "--n", "4",
+        )
+        assert r.exit_code == 0
+        assert r.stdout.splitlines()[1].endswith(",Intermediate")
+
     def test_deterministic_output(self, runner):
         args = ("sweep", "--grid", "eta=lin:0:1:7", "--grid", "n=2,5,9",
                 "--omega", "0.8", "--T", "0.4")
@@ -687,3 +733,47 @@ class TestRecohere:
 
     def test_deterministic_output(self, runner):
         assert invoke(runner, "recohere").output == invoke(runner, "recohere").output
+
+
+def _json_as_csv_rows(command, out):
+    """The JSON output of `command` as the rows its CSV output prints."""
+    if command == "recohere":
+        return [
+            {"stage": s["stage"],
+             **{f"rho_{i}{j}_{part}": s["rho"][i][j][p]
+                for i in (0, 1) for j in (0, 1) for p, part in enumerate(("re", "im"))},
+             "coherence": s["coherence"]}
+            for s in out["stages"]
+        ]
+    if command == "classify":
+        analytic, numeric = out["analytic"], out["numeric"]
+        return [{"label": analytic["label"], "limit_p": analytic["limit_p"],
+                 "numeric_label": numeric["label"],
+                 "numeric_limit": numeric["extrapolated_limit"],
+                 "converged": numeric["converged"], "agreement": out["agreement"]}]
+    return out
+
+
+@pytest.mark.parametrize("args", [
+    ("recohere",),
+    ("sweep", "--grid", "eta=lin:0.3:1:4", "--grid", "omega=0.2,0.7", "--n", "30"),
+    ("sweep", "--grid", "alpha=0.5,1.5", "--schedule", "power-law", "--beta", "1",
+     "--n", "40"),
+    ("classify", "--schedule", "power-law", "--alpha", "1", "--beta", "1", "--V", "2",
+     "--n-max", "4096"),
+    ("classify", "--schedule", "exponential", "--alpha", "0.6", "--beta", "0.4",
+     "--T", "0.8", "--n-max", "4096"),
+])
+def test_csv_numbers_equal_json_fields(runner, args):
+    as_csv = invoke(runner, *args, "--format", "csv")
+    as_json = invoke(runner, *args, "--format", "json")
+    assert as_csv.exit_code == as_json.exit_code == 0
+    rows = list(csv.DictReader(io.StringIO(as_csv.stdout)))
+    want = _json_as_csv_rows(args[0], json.loads(as_json.stdout))
+    assert [list(row) for row in rows] == [list(row) for row in want]
+    for row, fields in zip(rows, want):
+        for name, value in fields.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                assert row[name] == str(value), name
+            else:
+                assert float(row[name]) == value, name

@@ -8,7 +8,10 @@ and the schedules to one JSON codec (schedule_to_dict/schedule_from_dict).
 Back then simulate's JSON also printed a "c_ratio": 1.0 entry in its
 config object; it is gone, and the digests are those of the output
 without it. The config whose schedule is the JSON output's own object is
-pinned to the digest of the same run given by flags.
+pinned to the digest of the same run given by flags. The recohere-csv
+digest was re-recorded when its cells changed from repr() of numpy
+scalars, "np.float64(0.5)" under numpy 2, to the plain "0.5" that the
+JSON output and csv.writer give.
 """
 
 import hashlib
@@ -75,7 +78,7 @@ GOLDEN = {
     "physical-brownian-json": (0, "8652853dfedf6b10b0e0aad301f40ed4fe9d30237e27dc8b68846c8efdd9b6b8"),
     "physical-free-particle-json": (0, "7055596a6638be70ec19f2d2c42d504c60364884cb16687764f70d1159113647"),
     "physical-gaussian-pointer-csv": (0, "12b0b158d6bfa8a2d40c184d525b02f808ec17e8672d93f114e85292c45e7faa"),
-    "recohere-csv": (0, "7381bbb06f74c0d1fa7394a2db9604a05047201befabf5ed38e6ee2b42063e92"),
+    "recohere-csv": (0, "1cbdeaed75b37ff6f8f98778b9813ddd523d8e6eeb443a5fd56d8fe113ba4080"),
     "recohere-json": (0, "31124b0260e4377247978db405448572488fa05a638bbdf06c6e0eb19e3fbabf"),
     "simulate-config-flat": (0, "7c16cee6d5a8a44feb880ab4ed7c7ae9aa71f7ea3105e39bd00f7c48f26385a2"),
     "simulate-config-schedule-object": (0, "7d7a2d101a0066dfe58a0dda5ec4ff884b2dbd83808c2194ded71fe2d4f2ee9c"),
