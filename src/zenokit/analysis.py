@@ -165,19 +165,36 @@ def second_order_partial(eta: float, config: EvolutionConfig, i: int) -> float:
     return 1.0 - 2.0 * zeno_sum(eta, i) * config.V * config.delta**2
 
 
-def second_order_series(eta: float, config: EvolutionConfig) -> list[float]:
+def _second_order_row(i: int, tail: float, V: float, d2: float) -> float:
+    return 1.0 - 2.0 * (i / 2.0 + tail) * V * d2
+
+
+def second_order_series(eta: float, config: EvolutionConfig) -> Iterator[float]:
     """second_order_partial(eta, config, i) for i = 1..n in one O(n) pass.
 
-    Equal to the scalar values bit for bit where the closed form applies
-    (and at eta = 1, where both sum integers exactly); within
-    CLOSED_FORM_CROSSOVER of eta = 1 a row may differ by an ulp.
+    Returns an iterator that computes one row per value; eta and n are
+    checked before it is returned. Equal to the scalar values bit for bit
+    where the closed form applies (and at eta = 1, where both sum integers
+    exactly); within CLOSED_FORM_CROSSOVER of eta = 1 a row may differ by
+    an ulp. The rows never increase in i: each adds a non-negative term.
     """
     _check_eta_n(eta, config.n)
-    V, d2 = config.V, config.delta**2
-    return [
-        1.0 - 2.0 * (i / 2.0 + tail) * V * d2
-        for i, tail in enumerate(_weighted_tails(eta, config.n), start=1)
-    ]
+    return map(_second_order_row, itertools.count(1), _weighted_tails(eta, config.n),
+               itertools.repeat(config.V), itertools.repeat(config.delta**2))
+
+
+def second_order_series_end(eta: float, config: EvolutionConfig) -> float:
+    """Row n of second_order_series, the least of its rows, from one
+    evaluation of the weighted tail.
+
+    Equal to the series' last row bit for bit where the closed form
+    applies; within CLOSED_FORM_CROSSOVER of eta = 1 its tail is the
+    correctly rounded sum, which the series' prefix sums may miss by an
+    ulp.
+    """
+    n = config.n
+    _check_eta_n(eta, n)
+    return _second_order_row(n, _weighted_tail(eta, n), config.V, config.delta**2)
 
 
 # Below this alpha, intermediate_coefficient sums its Taylor series, whose

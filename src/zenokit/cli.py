@@ -10,6 +10,7 @@ identical invocations produce byte-identical output.
 
 from __future__ import annotations
 
+import collections
 import csv
 import dataclasses
 import functools
@@ -30,6 +31,9 @@ from .schedules import SCHEDULE_TYPES, family_eta, schedule_from_dict, schedule_
 from .unitary import EvolutionConfig
 
 SWEEP_POINT_CAP = 10**6
+# simulate formats, checks and writes its rows this many at a time, so its
+# memory does not grow with n.
+ROW_CHUNK = 4096
 SWEEP_PARAMS = ("n", "eta", "alpha", "beta", "omega", "T")
 CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(EvolutionConfig))
 REQUIRED = object()
@@ -126,8 +130,20 @@ class Options:
         given = {**self.config, **self.flags}
         kind = given.get("schedule", "constant")
         fields = dict(kind) if isinstance(kind, dict) else {"type": kind}
-        fields.update((k, given[k]) for k in SCHEDULE_FIELDS if k in given)
+        laid = [k for k in SCHEDULE_FIELDS if k in given]
+        named = fields.get("type")
+        if isinstance(named, str) and named in SCHEDULE_TYPES:
+            _require_read(named, laid)
+        fields.update((k, given[k]) for k in laid)
         return fields
+
+
+def _require_read(kind, names):
+    """Refuse a schedule field that the schedule type named kind does not read."""
+    read = {field.name for field in dataclasses.fields(SCHEDULE_TYPES[kind])}
+    unread = [name for name in names if name not in read]
+    if unread:
+        raise ValidationError(f"the {kind} schedule does not read {unread[0]}")
 
 
 def _convert(name, value):
@@ -148,8 +164,8 @@ def _takes(*names, **defaults):
     """Give a click command the options `names` from PARAMS, in that order.
 
     The command is called with the Options of one invocation and returns
-    the text to print (or write to --output). Invalid parameters exit 2,
-    capacity errors 3.
+    the text to print (or write to --output), as one string or an iterable
+    of strings. Invalid parameters exit 2, capacity errors 3.
     """
 
     def decorate(fn):
@@ -171,12 +187,15 @@ def _takes(*names, **defaults):
 
 
 def _emit(text, output):
+    chunks = [text] if isinstance(text, str) else text
     if output is None:
-        click.echo(text, nl=False)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
     else:
         try:
             with open(output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                for chunk in chunks:
+                    fh.write(chunk)
         except OSError as exc:
             raise ValidationError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
@@ -191,15 +210,19 @@ def _csv(header, rows):
     return buf.getvalue()
 
 
-def _require_finite(numbers, where):
-    """Refuse a result with a non-finite number before anything is printed.
+def _require_finite(numbers, where, printed=0):
+    """Refuse a result with a non-finite number.
 
-    where(i), for the index i of the first such number, names its place
-    and the run in the ValidationError.
+    numbers may be an iterator; it is read up to its first non-finite
+    number, whose index i where(i) turns into its place and run in the
+    ValidationError. The message also says how many rows were printed.
     """
-    if not all(map(math.isfinite, numbers)):
-        i = next(i for i, x in enumerate(numbers) if not math.isfinite(x))
-        raise ValidationError(f"survival is not finite {where(i)}; no rows printed")
+    bad = itertools.compress(itertools.count(),
+                             map(operator.not_, map(math.isfinite, numbers)))
+    i = next(bad, None)
+    if i is not None:
+        done = f"{printed} rows were printed" if printed else "no rows printed"
+        raise ValidationError(f"survival is not finite {where(i)}; {done}")
 
 
 # One element of simulate's "series" list as json.dumps(indent=2) nests it.
@@ -221,7 +244,10 @@ def main():
 @_takes("omega", "T", "n", "oracle", *SCHEDULE_OPTIONS, "format", "output", "config",
         omega=REQUIRED, T=REQUIRED, n=REQUIRED, format="csv")
 def simulate(opts):
-    """Exact and second-order survival probability of one run."""
+    """Exact and second-order survival probability of one run.
+
+    The rows are made, checked and written ROW_CHUNK at a time.
+    """
     config = EvolutionConfig(omega=opts["omega"], T=opts["T"], n=opts["n"])
     schedule = schedule_from_dict(opts.schedule())
     oracle, fmt = opts["oracle"], opts["format"]
@@ -230,42 +256,80 @@ def simulate(opts):
     eta = family_eta(schedule, config.n)
     p_so, criterion = analysis.second_order_with_criterion(eta, config)
     p_second = analysis.second_order_series(eta, config)
-    gaps = list(map(abs, map(operator.sub, p_exact, p_second)))
-    summary = {"p_exact": p_exact[-1], "p_second_order": p_so, "criterion": criterion}
-    if oracle:
-        p_oracle = evolution.enumerate_branches(config.step_unitary(), schedule, config.n)
-        summary["p_oracle"] = p_oracle
-        summary["oracle_abs_gap"] = abs(p_exact[-1] - p_oracle)
-    # A gap is finite only if both of its row's probabilities are.
-    _require_finite(
-        [*gaps, *summary.values()],
-        lambda i: f"{f'at step {i + 1}' if i < len(gaps) else 'in the summary'} for "
-                  f"omega = {config.omega!r}, T = {config.T!r}, n = {config.n}",
-    )
+    p_oracle = (evolution.enumerate_branches(config.step_unitary(), schedule, config.n)
+                if oracle else None)
+    run = f"for omega = {config.omega!r}, T = {config.T!r}, n = {config.n}"
+
+    # Every row is known to be finite before the first is printed, without
+    # storing them. The exact column is: no overlap's modulus exceeds
+    # 1 + 1e-12, so the chain's norm does not grow. The second-order column
+    # never increases in the step, so it is finite if its last row is; only
+    # when that row is not are the rows scanned for the first that is not.
+    if not math.isfinite(analysis.second_order_series_end(eta, config)):
+        _require_finite(analysis.second_order_series(eta, config),
+                        lambda i: f"at step {i + 1} {run}")
+    _require_finite([p_so, criterion, *([p_oracle] if oracle else [])],
+                    lambda _: f"in the summary {run}")
+    # Each chunk is checked again as it is made. The first is made here,
+    # so that a fault in it stops the run before --output is opened.
+    chunks = _row_chunks(p_exact, p_second, lambda step: f"at step {step} {run}")
+    chunks = itertools.chain([next(chunks)], chunks)
+
+    def summary(p_last):
+        values = {"p_exact": p_last, "p_second_order": p_so, "criterion": criterion}
+        if oracle:
+            values.update(p_oracle=p_oracle, oracle_abs_gap=abs(p_last - p_oracle))
+        return values
 
     # The per-step rows skip the generic encoders: each is formatted once
     # into the bytes csv.writer or json.dumps(indent=2) would give, which
     # for finite floats and ints are their repr.
-    rows = zip(itertools.count(1), p_exact, p_second, gaps)
     if fmt == "json":
-        head, tail = json.dumps(
+        head = json.dumps(
             {
                 "config": {"omega": config.omega, "T": config.T, "n": config.n},
                 "schedule": schedule_to_dict(schedule),
                 "series": None,
-                "summary": summary,
             },
             indent=2,
-        ).split('"series": null', 1)
-        series = ",\n".join(map(_JSON_SERIES_ITEM.__mod__, rows))
-        return f'{head}"series": [\n{series}\n  ]{tail}\n'
-    lines = ["step,p_exact,p_second_order,abs_gap,criterion\r\n"]
-    lines += map("%d,%r,%r,%r,\r\n".__mod__, rows)
-    lines.append("summary,%r,%r,,%r\r\n" % (p_exact[-1], p_so, criterion))
-    if oracle:
-        lines.append("oracle,%r,,%r,\r\n" % (
-            summary["p_oracle"], summary["oracle_abs_gap"]))
-    return "".join(lines)
+        ).split('"series": null', 1)[0]
+        # The summary follows the series at the same depth as in one
+        # json.dumps(indent=2) of the whole document.
+        return _stream(head + '"series": [\n', chunks, _JSON_SERIES_ITEM, ",\n",
+                       lambda row: "\n  ]," + _json({"summary": summary(row[1])})[1:])
+
+    def csv_foot(row):
+        values = summary(row[1])
+        foot = "summary,%r,%r,,%r\r\n" % (values["p_exact"], p_so, criterion)
+        if oracle:
+            foot += "oracle,%r,,%r,\r\n" % (p_oracle, values["oracle_abs_gap"])
+        return foot
+
+    return _stream("step,p_exact,p_second_order,abs_gap,criterion\r\n", chunks,
+                   "%d,%r,%r,%r,\r\n", "", csv_foot)
+
+
+def _row_chunks(p_exact, p_second, where):
+    """Lists of ROW_CHUNK rows (step, p_exact, p_second_order, abs_gap),
+    each checked finite before it is handed on; where(step) names a step."""
+    for start in itertools.count(1, ROW_CHUNK):
+        exact = list(itertools.islice(p_exact, ROW_CHUNK))
+        if not exact:
+            return
+        second = list(itertools.islice(p_second, ROW_CHUNK))
+        # A gap is finite only if both of its row's probabilities are.
+        gaps = list(map(abs, map(operator.sub, exact, second)))
+        _require_finite(gaps, lambda i: where(start + i), printed=start - 1)
+        yield list(zip(itertools.count(start), exact, second, gaps))
+
+
+def _stream(head, chunks, row, joiner, foot):
+    """head, then every chunk's rows as the template row formats them, with
+    joiner between each two rows, then foot(last row)."""
+    for chunk in chunks:
+        yield head + joiner.join(map(row.__mod__, chunk))
+        head = joiner
+    yield foot(chunk[-1])
 
 
 @main.command()
@@ -385,10 +449,7 @@ def sweep(opts):
     @functools.cache
     def schedule_for(swept):
         schedule = schedule_from_dict({**fields, **dict(swept)})
-        read = {field.name for field in dataclasses.fields(schedule)}
-        unread = [name for name, _ in swept if name not in read]
-        if unread:
-            raise ValidationError(f"the {fields['type']} schedule does not read {unread[0]}")
+        _require_read(fields["type"], [name for name, _ in swept])
         try:
             regime = analysis.classify_schedule(schedule).label.value
         except UnclassifiableScheduleError:
@@ -403,14 +464,16 @@ def sweep(opts):
         config = EvolutionConfig(**base, **{k: v for k, v in point if k in CONFIG_FIELDS})
         swept = tuple((k, v) for k, v in point if k not in CONFIG_FIELDS)
         schedule, regime = schedule_for(swept)
-        p_exact = evolution.propagate_projected(config.step_unitary(), schedule, config.n)
+        # Only the last survival value is kept: the deque drops the others.
+        p_exact = collections.deque(evolution.propagate_projected(
+            config.step_unitary(), schedule, config.n), maxlen=1).pop()
         eta = family_eta(schedule, config.n)
         p_so, criterion = analysis.second_order_with_criterion(eta, config)
         _require_finite(
-            (eta, p_exact[-1], p_so, criterion),
+            (eta, p_exact, p_so, criterion),
             lambda _: "at grid point " + ", ".join(f"{k} = {v!r}" for k, v in point),
         )
-        rows.append((config.n, eta, p_exact[-1], p_so, criterion, regime))
+        rows.append((config.n, eta, p_exact, p_so, criterion, regime))
 
     header = ("n", "eta_n", "p_exact", "p_second_order", "criterion", "regime")
     if opts["format"] == "json":

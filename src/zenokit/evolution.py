@@ -12,6 +12,7 @@ Two independent routes compute the same number:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -25,26 +26,32 @@ _ORACLE_CHUNK = 1 << 15
 
 def propagate_projected(
     U: FreeEvolutionUnitary, schedule: OverlapSchedule, n: int
-) -> list[float]:
+) -> Iterator[float]:
     """O(n) projected propagation of the chain.
 
     Keeps the amplitude pair (A_0, A_1) of the system conditioned on
     every environment so far having recorded 0; the overlap multiplies
-    A_1 only, since <E_0|E_0> = 1. Returns the survival probability
-    |A_0|^2 after each of the n steps.
+    A_1 only, since <E_0|E_0> = 1. Returns an iterator over the survival
+    probability |A_0|^2 after each of the n steps, which computes one
+    step per value; n and the schedule are checked before it is returned.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    overlaps = realize(schedule, n)
     # The coefficients are properties (two of them call cmath.exp); read
     # them once rather than on every step.
-    c_eq_0, c_neq_0, c_neq_1, c_eq_1 = U.c_eq_0, U.c_neq_0, U.c_neq_1, U.c_eq_1
+    return _projected_survival(
+        (U.c_eq_0, U.c_neq_0, U.c_neq_1, U.c_eq_1), realize(schedule, n)
+    )
+
+
+def _projected_survival(
+    coefficients: tuple[complex, ...], overlaps: Iterable[complex]
+) -> Iterator[float]:
+    c_eq_0, c_neq_0, c_neq_1, c_eq_1 = coefficients
     a0, a1 = 1.0 + 0.0j, 0.0j
-    series = []
     for ov in overlaps:
         a0, a1 = c_eq_0 * a0 + c_neq_0 * a1, (c_neq_1 * a0 + c_eq_1 * a1) * ov
-        series.append(abs(a0) ** 2)
-    return series
+        yield abs(a0) ** 2
 
 
 def _branch_amplitude(
@@ -87,4 +94,4 @@ def enumerate_branches(
             f"branch oracle enumerates 2^n words; n = {n} exceeds the "
             f"cap of {ORACLE_MAX_STEPS}"
         )
-    return abs(_branch_amplitude(U, realize(schedule, n), n)) ** 2
+    return abs(_branch_amplitude(U, tuple(realize(schedule, n)), n)) ** 2

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -122,18 +124,22 @@ def family_eta(schedule: OverlapSchedule, n: int) -> float:
     raise ValidationError(f"unknown schedule type {type(schedule).__name__}")
 
 
-def realize(schedule: OverlapSchedule, n: int) -> tuple[complex, ...]:
-    """Per-step overlaps for an n-step run."""
+def realize(schedule: OverlapSchedule, n: int) -> Iterator[complex]:
+    """An iterator over the per-step overlaps of an n-step run.
+
+    The schedule is checked against n when realize is called, not when
+    the iterator is read.
+    """
     if isinstance(schedule, ExplicitOverlaps):
         if len(schedule.overlaps) != n:
             raise ValidationError(
                 f"explicit schedule has {len(schedule.overlaps)} overlaps "
                 f"but the run has {n} steps"
             )
-        return schedule.overlaps
+        return iter(schedule.overlaps)
     if isinstance(schedule, ConstantOverlap):
-        return (complex(schedule.eta),) * n
-    return (complex(family_eta(schedule, n)),) * n
+        return itertools.repeat(complex(schedule.eta), n)
+    return itertools.repeat(complex(family_eta(schedule, n)), n)
 
 
 SCHEDULE_TYPES = {

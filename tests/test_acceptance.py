@@ -63,7 +63,7 @@ def test_criterion_1_oracle_equivalence():
         phases = rng.uniform(0, 2 * math.pi, n)
         sched = ExplicitOverlaps(overlaps=tuple(mods * np.exp(1j * phases)))
         gap = abs(
-            propagate_projected(u, sched, n)[-1]
+            list(propagate_projected(u, sched, n))[-1]
             - enumerate_branches(u, sched, n)
         )
         worst = max(worst, gap)
@@ -85,10 +85,10 @@ def test_criterion_2_limiting_cases():
     for omega, T, n in points:
         cfg = EvolutionConfig(omega=omega, T=T, n=n)
         u = cfg.step_unitary()
-        p1 = propagate_projected(u, ConstantOverlap(eta=1.0), n)[-1]
+        p1 = list(propagate_projected(u, ConstantOverlap(eta=1.0), n))[-1]
         direct = abs(np.linalg.matrix_power(u.matrix(), n)[0, 0]) ** 2
         assert abs(p1 - direct) <= 1e-12
-        p0 = propagate_projected(u, ConstantOverlap(eta=0.0), n)[-1]
+        p0 = list(propagate_projected(u, ConstantOverlap(eta=0.0), n))[-1]
         assert abs(p0 - abs(u.a) ** (2 * n)) <= 1e-12
         # second order reduces to the two closed forms exactly
         V, delta = cfg.V, cfg.delta
@@ -109,9 +109,9 @@ def test_criterion_3_second_order_residual_shrinks_like_delta_fourth():
             gaps = []
             for T in (0.2, 0.1, 0.05):
                 cfg = EvolutionConfig(omega=1.0, T=T, n=n)
-                p_exact = propagate_projected(
+                p_exact = list(propagate_projected(
                     cfg.step_unitary(), ConstantOverlap(eta=eta), n
-                )[-1]
+                ))[-1]
                 p_so = second_order_with_criterion(eta, cfg)[0]
                 gaps.append(abs(p_exact - p_so))
             for wide, narrow in zip(gaps, gaps[1:]):

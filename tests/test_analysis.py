@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zenokit import (
     ConstantOverlap,
@@ -21,10 +22,12 @@ from zenokit import (
     zeno_sum,
 )
 from zenokit.analysis import (
+    CLOSED_FORM_CROSSOVER,
     DIRECT_SUM_CHUNK,
     INTERMEDIATE_SERIES_CUT,
     second_order_partial,
     second_order_series,
+    second_order_series_end,
 )
 
 
@@ -98,12 +101,12 @@ class TestSecondOrderSeries:
     @pytest.mark.parametrize("eta", [0.0, 0.5, 0.99, 1.0])
     def test_equals_scalar_reference(self, eta):
         cfg = EvolutionConfig(omega=0.9, T=0.8, n=2000)
-        assert second_order_series(eta, cfg) == self.scalar(eta, cfg)
+        assert list(second_order_series(eta, cfg)) == self.scalar(eta, cfg)
 
     @pytest.mark.parametrize("eta", [1 - 1e-5, 1 - 1e-7])
     def test_near_one_within_rounding_of_scalar_reference(self, eta):
         cfg = EvolutionConfig(omega=0.9, T=0.8, n=8000)
-        got = second_order_series(eta, cfg)
+        got = list(second_order_series(eta, cfg))
         want = self.scalar(eta, cfg)
         assert len(got) == len(want)
         assert max(abs(g - w) for g, w in zip(got, want)) <= 4e-16
@@ -112,7 +115,7 @@ class TestSecondOrderSeries:
         mpmath = pytest.importorskip("mpmath")
         eta, n = 1 - 1e-5, 10**5
         cfg = EvolutionConfig(omega=0.9, T=0.8, n=n)
-        got = second_order_series(eta, cfg)
+        got = list(second_order_series(eta, cfg))
         with mpmath.workdps(40):
             e = mpmath.mpf(eta)
             weight = mpmath.mpf(cfg.V) * mpmath.mpf(cfg.delta**2)
@@ -123,9 +126,45 @@ class TestSecondOrderSeries:
 
     def test_single_step_and_domain_checks(self):
         cfg = EvolutionConfig(omega=1.0, T=0.1, n=1)
-        assert second_order_series(1 - 1e-6, cfg) == [1.0 - 0.01]
+        assert list(second_order_series(1 - 1e-6, cfg)) == [1.0 - 0.01]
         with pytest.raises(ValidationError):
             second_order_series(1.5, cfg)
+
+
+# eta anywhere in [0, 1], with eta = 1 and the direct-sum band
+# 0 < 1 - eta < CLOSED_FORM_CROSSOVER drawn on their own.
+ETAS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.just(1.0),
+    st.floats(1.0 - CLOSED_FORM_CROSSOVER, 1.0, exclude_min=True, exclude_max=True),
+)
+RUNS = st.builds(EvolutionConfig, omega=st.floats(1e-3, 1e3), T=st.floats(1e-3, 1e3),
+                 n=st.integers(1, 2000))
+
+
+class TestSecondOrderSeriesStreaming:
+    """simulate checks only the last second-order row before it streams the
+    rows; these are the two facts that check rests on."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ETAS, RUNS)
+    def test_rows_never_increase_in_the_step(self, eta, cfg):
+        rows = list(second_order_series(eta, cfg))
+        assert all(a >= b for a, b in zip(rows, rows[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ETAS, RUNS)
+    def test_end_is_the_last_row(self, eta, cfg):
+        last = list(second_order_series(eta, cfg))[-1]
+        end = second_order_series_end(eta, cfg)
+        if 1.0 - eta >= CLOSED_FORM_CROSSOVER or eta == 1.0:
+            assert end == last
+        else:
+            # The two tails differ by up to an ulp, and adding n/2, the
+            # products with V and delta^2 and the subtraction from 1 round
+            # each side apart: 3 ulps of the larger of 1 and the row were
+            # seen over 10^5 random runs.
+            assert abs(end - last) <= 4 * math.ulp(max(1.0, abs(end)))
 
 
 class TestSecondOrderWithCriterion:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -42,10 +43,10 @@ def simulate_reference(fmt, omega, T, n, schedule, schedule_fields, oracle):
     """simulate's output rebuilt from library values with csv.writer or
     json.dumps(indent=2)."""
     config = EvolutionConfig(omega=omega, T=T, n=n)
-    series = propagate_projected(config.step_unitary(), schedule, n)
+    series = list(propagate_projected(config.step_unitary(), schedule, n))
     eta = family_eta(schedule, n)
     p_so, criterion = analysis.second_order_with_criterion(eta, config)
-    so = analysis.second_order_series(eta, config)
+    so = list(analysis.second_order_series(eta, config))
     rows = [(i, pe, ps, abs(pe - ps))
             for i, (pe, ps) in enumerate(zip(series, so), start=1)]
     summary = {"p_exact": series[-1], "p_second_order": p_so, "criterion": criterion}
@@ -203,7 +204,7 @@ class TestSimulate:
         original = analysis.second_order_series
 
         def with_nan(eta, config):
-            values = original(eta, config)
+            values = list(original(eta, config))
             values[2] = math.nan
             return values
 
@@ -215,6 +216,52 @@ class TestSimulate:
         assert r.exit_code == 2
         assert r.stdout == ""
         assert "error: survival is not finite at step 3" in r.output
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fault_after_rows_went_out_names_its_step(self, runner, monkeypatch, fmt):
+        original = analysis.second_order_series
+
+        def nan_at_5000(eta, config):
+            return (math.nan if i == 5000 else p
+                    for i, p in enumerate(original(eta, config), start=1))
+
+        monkeypatch.setattr(analysis, "second_order_series", nan_at_5000)
+        r = invoke(
+            runner, "simulate", "--omega", "1", "--T", "1", "--n", "10000",
+            "--eta", "0.5", "--format", fmt,
+        )
+        assert r.exit_code == 2
+        assert "error: survival is not finite at step 5000 for omega = 1.0" in r.stderr
+        assert f"; {cli.ROW_CHUNK} rows were printed" in r.stderr
+        assert "no rows printed" not in r.output
+        rows = r.stdout.count('"step"') if fmt == "json" else r.stdout.count("\n") - 1
+        assert rows == cli.ROW_CHUNK
+
+    def test_memory_does_not_grow_with_n(self, runner, tmp_path):
+        peaks = []
+        for n in (20000, 80000):
+            out = tmp_path / f"{n}.json"
+            tracemalloc.start()
+            try:
+                r = invoke(
+                    runner, "simulate", "--omega", "0.3", "--T", "0.7", "--eta", "0.96",
+                    "--n", str(n), "--format", "json", "--output", str(out),
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert r.exit_code == 0
+            assert json.loads(out.read_text())["series"][-1]["step"] == n
+        assert abs(peaks[1] - peaks[0]) <= 2**20
+
+    def test_explicit_schedule_of_the_wrong_length_prints_nothing(self, runner):
+        r = invoke(
+            runner, "simulate", "--omega", "1", "--T", "1", "--n", "5000",
+            "--schedule", "explicit", "--overlaps", "0.5,0.4",
+        )
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert "explicit schedule has 2 overlaps but the run has 5000 steps" in r.output
 
     def test_unwritable_output_exit_code(self, runner):
         r = invoke(
@@ -328,6 +375,11 @@ class TestInvalidInput:
              "config grid: 'omega=0.5,1' is not a valid list of text"),
             ('{"omega": 1, "T": 1, "n": 3, "eta": 0.5, "format": "xml"}',
              ("simulate",), "config format: 'xml' is not a valid choice"),
+            ('{"omega": 1, "T": 1, "n": 2, "schedule": "power-law", "alpha": 1, '
+             '"beta": 2, "eta": 0.3}', ("simulate",),
+             "the power-law schedule does not read eta"),
+            ('{"schedule": {"type": "constant", "eta": 0.5}, "alpha": 3, "n_max": 64}',
+             ("classify",), "the constant schedule does not read alpha"),
         ],
     )
     def test_bad_config_exit_code(self, runner, tmp_path, config, args, message):
@@ -353,6 +405,24 @@ class TestInvalidInput:
     def test_bad_grid_exit_code(self, runner, grid, message):
         r = invoke(runner, "sweep", "--grid", grid)
         assert r.exit_code == 2
+        assert f"error: {message}" in r.output
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("simulate", "--omega", "1", "--T", "1", "--n", "2", "--schedule",
+              "power-law", "--alpha", "1", "--beta", "2", "--eta", "0.3"),
+             "the power-law schedule does not read eta"),
+            (("classify", "--schedule", "constant", "--eta", "0.5", "--alpha", "3",
+              "--n-max", "64"), "the constant schedule does not read alpha"),
+            (("sweep", "--grid", "n=10,20", "--schedule", "explicit", "--overlaps",
+              "0.5", "--beta", "2"), "the explicit schedule does not read beta"),
+        ],
+    )
+    def test_unread_schedule_flag_exit_code(self, runner, args, message):
+        r = invoke(runner, *args)
+        assert r.exit_code == 2
+        assert r.stdout == ""
         assert f"error: {message}" in r.output
 
     def test_grid_count_is_capped_before_it_is_built(self, runner):
@@ -571,9 +641,9 @@ class TestSweep:
         for eta in etas:
             for omega in omegas:
                 config = EvolutionConfig(omega=omega, T=0.6, n=50)
-                p_exact = propagate_projected(
+                p_exact = list(propagate_projected(
                     config.step_unitary(), ConstantOverlap(eta=eta), 50
-                )[-1]
+                ))[-1]
                 p_so, criterion = analysis.second_order_with_criterion(eta, config)
                 regime = "FreeEvolution" if eta == 1.0 else "Zeno"
                 writer.writerow((50, repr(eta), repr(p_exact), repr(p_so),

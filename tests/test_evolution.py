@@ -56,14 +56,14 @@ def explicit_schedules(draw):
 class TestSurvivalListProperties:
     @given(unitaries(), st.integers(1, 64))
     def test_full_decoherence_gives_stay_probability_powers(self, u, n):
-        series = propagate_projected(u, ConstantOverlap(eta=0.0), n)
+        series = list(propagate_projected(u, ConstantOverlap(eta=0.0), n))
         assert len(series) == n
         for i, p in enumerate(series, start=1):
             assert abs(p - abs(u.a) ** (2 * i)) <= 1e-12
 
     @given(unitaries(), explicit_schedules())
     def test_every_entry_is_a_probability(self, u, schedule):
-        series = propagate_projected(u, schedule, len(schedule.overlaps))
+        series = list(propagate_projected(u, schedule, len(schedule.overlaps)))
         assert all(0.0 <= p <= 1.0 + 1e-12 for p in series)
 
 
@@ -94,7 +94,7 @@ class TestOracleEquivalence:
             n = int(rng.integers(1, 13))
             u = random_unitary(rng)
             sched = random_overlaps(rng, n)
-            p_fast = propagate_projected(u, sched, n)[-1]
+            p_fast = list(propagate_projected(u, sched, n))[-1]
             p_oracle = enumerate_branches(u, sched, n)
             assert abs(p_fast - p_oracle) <= 1e-12
             assert -1e-12 <= p_fast <= 1 + 1e-12
@@ -104,28 +104,28 @@ class TestPropagateProjected:
     def test_eta_one_equals_matrix_power(self):
         for omega, T, n in [(1.0, 1.0, 10), (0.7, 2.0, 6), (2.0, 0.5, 17)]:
             u = make_rabi_unitary(omega, T / n)
-            p = propagate_projected(u, ConstantOverlap(eta=1.0), n)[-1]
+            p = list(propagate_projected(u, ConstantOverlap(eta=1.0), n))[-1]
             direct = abs(np.linalg.matrix_power(u.matrix(), n)[0, 0]) ** 2
             assert abs(p - direct) <= 1e-12
 
     def test_eta_zero_closed_form(self):
         u = make_rabi_unitary(1.0, 0.1)
-        p = propagate_projected(u, ConstantOverlap(eta=0.0), 10)[-1]
+        p = list(propagate_projected(u, ConstantOverlap(eta=0.0), 10))[-1]
         assert abs(p - math.cos(0.1) ** 20) <= 1e-12
         assert p == pytest.approx(0.90469, abs=1e-5)
 
     def test_undisturbed_run_recovers_global_rotation(self):
         u = make_rabi_unitary(1.0, 0.1)
-        p = propagate_projected(u, ConstantOverlap(eta=1.0), 10)[-1]
+        p = list(propagate_projected(u, ConstantOverlap(eta=1.0), 10))[-1]
         assert p == pytest.approx(math.cos(1.0) ** 2, abs=1e-12)
 
     def test_series_is_recorded_per_step(self):
         u = make_rabi_unitary(1.0, 0.2)
-        series = propagate_projected(u, ConstantOverlap(eta=0.5), 6)
+        series = list(propagate_projected(u, ConstantOverlap(eta=0.5), 6))
         assert len(series) == 6
         # entry i is the survival of the run cut after step i
         assert series == [
-            propagate_projected(u, ConstantOverlap(eta=0.5), i)[-1] for i in range(1, 7)
+            list(propagate_projected(u, ConstantOverlap(eta=0.5), i))[-1] for i in range(1, 7)
         ]
         assert all(0.0 <= p <= 1.0 + 1e-12 for p in series)
 
@@ -135,7 +135,7 @@ class TestSurvivalSeries:
 
     @staticmethod
     def run(cfg, schedule):
-        return propagate_projected(cfg.step_unitary(), schedule, cfg.n)
+        return list(propagate_projected(cfg.step_unitary(), schedule, cfg.n))
 
     def test_frozen_without_free_evolution(self):
         cfg = EvolutionConfig(omega=0.0, T=1.0, n=5)

@@ -135,5 +135,5 @@ class TestConsistencyWithProjectedChain:
         # project onto <0, E_0|
         amp = joint[0] * np.conj(e0[0]) + joint[2] * np.conj(e0[1])
         p_register = abs(amp) ** 2
-        p_chain = propagate_projected(u, ConstantOverlap(eta=eta), 1)[-1]
+        p_chain = list(propagate_projected(u, ConstantOverlap(eta=eta), 1))[-1]
         assert abs(p_register - p_chain) <= 1e-12

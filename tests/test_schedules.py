@@ -19,7 +19,7 @@ from zenokit import (
 
 
 def test_constant_realizes_shared_eta():
-    assert realize(ConstantOverlap(eta=0.5), 4) == (0.5,) * 4
+    assert tuple(realize(ConstantOverlap(eta=0.5), 4)) == (0.5,) * 4
 
 
 def test_constant_rejects_modulus_above_one():
@@ -76,7 +76,7 @@ def test_overlaps_reject_non_finite_values(bad):
 
 def test_explicit_length_must_match_run():
     sched = ExplicitOverlaps(overlaps=(0.9, 0.8, 0.7))
-    assert realize(sched, 3) == (0.9, 0.8, 0.7)
+    assert tuple(realize(sched, 3)) == (0.9, 0.8, 0.7)
     with pytest.raises(ValidationError, match="steps"):
         realize(sched, 4)
 
