@@ -126,7 +126,9 @@ class Options:
     def schedule(self):
         """The schedule object --schedule (or the config's "schedule", a type
         name or a whole schedule object) gives, with --eta, --alpha, --beta
-        and --overlaps laid over it; schedule_from_dict converts its fields."""
+        and --overlaps laid over it; schedule_from_dict converts its fields.
+        A field flag or config key that the schedule type does not read is
+        refused."""
         given = {**self.config, **self.flags}
         kind = given.get("schedule", "constant")
         fields = dict(kind) if isinstance(kind, dict) else {"type": kind}
@@ -244,10 +246,7 @@ def main():
 @_takes("omega", "T", "n", "oracle", *SCHEDULE_OPTIONS, "format", "output", "config",
         omega=REQUIRED, T=REQUIRED, n=REQUIRED, format="csv")
 def simulate(opts):
-    """Exact and second-order survival probability of one run.
-
-    The rows are made, checked and written ROW_CHUNK at a time.
-    """
+    """Exact and second-order survival probability of one run."""
     config = EvolutionConfig(omega=opts["omega"], T=opts["T"], n=opts["n"])
     schedule = schedule_from_dict(opts.schedule())
     oracle, fmt = opts["oracle"], opts["format"]
@@ -261,10 +260,11 @@ def simulate(opts):
     run = f"for omega = {config.omega!r}, T = {config.T!r}, n = {config.n}"
 
     # Every row is known to be finite before the first is printed, without
-    # storing them. The exact column is: no overlap's modulus exceeds
-    # 1 + 1e-12, so the chain's norm does not grow. The second-order column
-    # never increases in the step, so it is finite if its last row is; only
-    # when that row is not are the rows scanned for the first that is not.
+    # storing them. The exact column is finite because no overlap's modulus
+    # exceeds 1 + 1e-12, so the chain's norm does not grow. The second-order
+    # column never increases in the step, so it is finite if its last row
+    # is; only when that row is not are the rows scanned for the first that
+    # is not.
     if not math.isfinite(analysis.second_order_series_end(eta, config)):
         _require_finite(analysis.second_order_series(eta, config),
                         lambda i: f"at step {i + 1} {run}")

@@ -291,6 +291,20 @@ class TestSimulate:
         assert calls["zeno_sum"] <= 2
         assert calls["_weighted_tail"] <= 2
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_of_several_chunks_match_generic_encoders(self, runner, tmp_path, fmt,
+                                                           to_file):
+        n = 2 * cli.ROW_CHUNK + 5
+        args = ["simulate", "--omega", "0.7", "--T", "0.9", "--n", str(n), "--eta", "0.93",
+                "--format", fmt]
+        path = tmp_path / "out.txt"
+        r = invoke(runner, *args, *(["--output", str(path)] if to_file else []))
+        assert r.exit_code == 0
+        expected = simulate_reference(fmt, 0.7, 0.9, n, ConstantOverlap(eta=0.93),
+                                      {"type": "constant", "eta": 0.93}, False).encode()
+        assert (path.read_bytes() if to_file else r.stdout_bytes) == expected
+
     def test_deterministic_output(self, runner):
         args = ("simulate", "--omega", "1.3", "--T", "0.7", "--n", "40",
                 "--schedule", "power-law", "--alpha", "1", "--beta", "2")
