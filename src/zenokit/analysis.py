@@ -37,6 +37,9 @@ CLOSED_FORM_CROSSOVER = 1e-4
 # The direct sum makes its terms this many at a time, so that its memory
 # stays bounded at any n.
 DIRECT_SUM_CHUNK = 2**16
+# numeric_limit_probe labels an extrapolated limit within this multiple of
+# V*T^2 of 1 (Zeno) or of 1 - V*T^2 (free evolution).
+PROBE_TOLERANCE = 1e-3
 
 
 class Regime(enum.Enum):
@@ -183,20 +186,6 @@ def second_order_series(eta: float, config: EvolutionConfig) -> Iterator[float]:
                itertools.repeat(config.V), itertools.repeat(config.delta**2))
 
 
-def second_order_series_end(eta: float, config: EvolutionConfig) -> float:
-    """Row n of second_order_series, the least of its rows, from one
-    evaluation of the weighted tail.
-
-    Equal to the series' last row bit for bit where the closed form
-    applies; within CLOSED_FORM_CROSSOVER of eta = 1 its tail is the
-    correctly rounded sum, which the series' prefix sums may miss by an
-    ulp.
-    """
-    n = config.n
-    _check_eta_n(eta, n)
-    return _second_order_row(n, _weighted_tail(eta, n), config.V, config.delta**2)
-
-
 # Below this alpha, intermediate_coefficient sums its Taylor series, whose
 # coefficients are 2/(j+2)!. The closed form cancels there: against a
 # 500-digit mpmath value its relative error reaches 6.3e-16 on [1, 1.25],
@@ -288,7 +277,7 @@ def numeric_limit_probe(
 
     Evaluates along the geometric grid n = 64, 128, ..., n_max,
     accelerates the tail, and compares the extrapolated limit with 1 and
-    1 - V*T^2 at tolerance 1e-3 * V*T^2.
+    1 - V*T^2 at tolerance PROBE_TOLERANCE * V*T^2.
     """
     if n_max < 64:
         raise ValidationError(f"n_max must be >= 64, got {n_max}")
@@ -303,7 +292,7 @@ def numeric_limit_probe(
     limit, converged = _aitken_accelerate(seq)
 
     scale = config.V * config.T**2
-    tol = 1e-3 * scale
+    tol = PROBE_TOLERANCE * scale
     if abs(limit - 1.0) <= tol:
         label, k = Regime.ZENO, 0.0
     elif abs(limit - (1.0 - scale)) <= tol:

@@ -19,7 +19,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from typing import Union
 
-from .errors import ValidationError
+from .errors import ValidationError, require_read
 
 _MODULUS_SLACK = 1e-12
 
@@ -209,8 +209,8 @@ def schedule_from_dict(data: dict) -> OverlapSchedule:
     """The schedule a {"type": ..., <fields>} object describes.
 
     Reads what schedule_to_dict writes, and also numbers and overlaps given
-    as strings. Fields the type does not use are ignored; a missing or bad
-    field raises ValidationError naming it.
+    as strings. A field the type does not read is refused, and so is a
+    missing or bad one: each raises ValidationError naming it.
     """
     if not isinstance(data, dict):
         raise ValidationError(f"a schedule must be a JSON object, got {data!r}")
@@ -220,9 +220,11 @@ def schedule_from_dict(data: dict) -> OverlapSchedule:
         raise ValidationError(
             f"unknown schedule type {kind!r}; choose from {', '.join(SCHEDULE_TYPES)}"
         )
+    names = [field.name for field in fields(cls)]
+    require_read(f"{kind} schedule", ["type", *names], data)
     values = {}
-    for field in fields(cls):
-        if data.get(field.name) is None:
-            raise ValidationError(f"{kind} schedule needs {field.name}")
-        values[field.name] = _DECODERS[field.name](field.name, data[field.name])
+    for name in names:
+        if data.get(name) is None:
+            raise ValidationError(f"{kind} schedule needs {name}")
+        values[name] = _DECODERS[name](name, data[name])
     return cls(**values)

@@ -27,7 +27,6 @@ from zenokit.analysis import (
     INTERMEDIATE_SERIES_CUT,
     second_order_partial,
     second_order_series,
-    second_order_series_end,
 )
 
 
@@ -156,7 +155,7 @@ class TestSecondOrderSeriesStreaming:
     @given(ETAS, RUNS)
     def test_end_is_the_last_row(self, eta, cfg):
         last = list(second_order_series(eta, cfg))[-1]
-        end = second_order_series_end(eta, cfg)
+        end = second_order_partial(eta, cfg, cfg.n)
         if 1.0 - eta >= CLOSED_FORM_CROSSOVER or eta == 1.0:
             assert end == last
         else:

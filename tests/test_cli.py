@@ -394,6 +394,8 @@ class TestInvalidInput:
              "the power-law schedule does not read eta"),
             ('{"schedule": {"type": "constant", "eta": 0.5}, "alpha": 3, "n_max": 64}',
              ("classify",), "the constant schedule does not read alpha"),
+            ('{"omega": 1, "T": 1, "n": 2, "schedule": {"type": "constant", "eta": 0.5, '
+             '"alpha": 3}}', ("simulate",), "the constant schedule does not read alpha"),
         ],
     )
     def test_bad_config_exit_code(self, runner, tmp_path, config, args, message):
@@ -555,7 +557,10 @@ class TestClassify:
             "--beta", "1", "--n-max", "64",
         )
         assert r.exit_code == 0
-        assert json.loads(r.output)["analytic"]["limit_coefficient"] == 1.0
+        out = json.loads(r.output)
+        assert out["analytic"]["limit_coefficient"] == 1.0
+        # Intermediate with k = 1 against FreeEvolution: both limits are 0
+        assert out["agreement"] is True
 
     def test_overflowing_omega_exit_code(self, runner):
         r = invoke(
@@ -798,6 +803,29 @@ class TestPhysical:
         r = invoke(runner, "physical", *args)
         assert r.exit_code == 2
         assert f"error: {message}" in r.output
+
+    @pytest.mark.parametrize(
+        "model,params,unread",
+        [
+            ("free-particle", {"m": 1e-26, "sigma": 1e-10}, "T"),
+            ("gaussian-pointer", {"v": 1, "sigma": 1, "T": 1}, "m"),
+            ("brownian", {"D": 2, "T": 1}, "sigma"),
+        ],
+    )
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_unread_parameter_exit_code(self, runner, tmp_path, model, params, unread,
+                                        via_config):
+        given = {**params, unread: 3}
+        if via_config:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(given))
+            args = ("--config", str(cfg))
+        else:
+            args = [x for k, v in given.items() for x in (f"--{k}", str(v))]
+        r = invoke(runner, "physical", model, *args)
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert f"error: the {model} model does not read {unread}" in r.output
 
 
 class TestRecohere:

@@ -145,9 +145,9 @@ def test_schedule_from_dict_reads_every_overlap_form(overlaps):
     assert schedule == ExplicitOverlaps(overlaps=(0.9 + 0.1j, 0.95))
 
 
-def test_schedule_from_dict_reads_numeric_strings_and_ignores_other_fields():
-    assert schedule_from_dict({"type": "power-law", "alpha": "1.5", "beta": 2,
-                               "eta": 0.3}) == PowerLawOverlap(alpha=1.5, beta=2.0)
+def test_schedule_from_dict_reads_numeric_strings():
+    assert schedule_from_dict({"type": "power-law", "alpha": "1.5", "beta": 2}) == (
+        PowerLawOverlap(alpha=1.5, beta=2.0))
     assert schedule_from_dict({"type": "constant", "eta": "0.5"}) == ConstantOverlap(eta=0.5)
 
 
@@ -167,6 +167,15 @@ def test_schedule_from_dict_reads_numeric_strings_and_ignores_other_fields():
         ({"type": "explicit", "overlaps": [[0.9, "a"]]}, "overlaps[0][1] must be a number"),
         ({"type": "explicit", "overlaps": [[0.9, 0.1, 0.0]]}, "overlaps[0] must be"),
         ({"type": "explicit", "overlaps": [1.5]}, "overlap 0 has modulus"),
+        ({"type": "constant", "eta": 0.5, "alpha": 3}, "the constant schedule does not read alpha"),
+        ({"type": "power-law", "alpha": 1, "beta": 2, "eta": 0.3},
+         "the power-law schedule does not read eta"),
+        ({"type": "exponential", "alpha": 1, "beta": 2, "overlaps": [0.9]},
+         "the exponential schedule does not read overlaps"),
+        ({"type": "explicit", "overlaps": [0.9], "beta": 2},
+         "the explicit schedule does not read beta"),
+        # refused before a missing field is looked for
+        ({"type": "power-law", "note": "x"}, "the power-law schedule does not read note"),
     ],
 )
 def test_schedule_from_dict_names_the_bad_field(data, message):
