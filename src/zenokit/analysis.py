@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import sys
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -93,11 +94,11 @@ def _weighted_tail(eta: float, n: int) -> float:
     ))
 
 
-def _weighted_tails(eta: float, n: int) -> Iterator[float]:
-    """_weighted_tail(eta, i) for i = 1..n, in O(n) in all.
+def _zeno_sums(eta: float, n: int) -> Iterator[float]:
+    """zeno_sum(eta, i) = i/2 + S_tail(i) for i = 1..n, in O(n) in all.
 
-    The closed-form side yields the scalar closed form for each i, bit
-    for bit. Near eta = 1 two prefix recurrences replace the per-i sums:
+    The closed-form side yields the scalar values for each i, bit for
+    bit. Near eta = 1 two prefix recurrences replace the per-i tail sums:
 
         G(i) = G(i-1) + eta^i,   S_tail(i+1) = S_tail(i) + G(i),
 
@@ -105,10 +106,10 @@ def _weighted_tails(eta: float, n: int) -> Iterator[float]:
     Stability of Numerical Algorithms, 2nd ed., sec. 4.3). All terms are
     positive, so the result stays within about an ulp of the fsum path.
     """
-    yield 0.0
+    yield 0.5
     if 1.0 - eta >= CLOSED_FORM_CROSSOVER:
         for i in range(2, n + 1):
-            yield _closed_form_tail(eta, i)
+            yield i / 2.0 + _closed_form_tail(eta, i)
         return
     g = g_err = s = s_err = 0.0
     for i in range(1, n):
@@ -120,7 +121,7 @@ def _weighted_tails(eta: float, n: int) -> Iterator[float]:
         t = s + x
         s_err += (s - t) + x if s >= x else (x - t) + s
         s = t
-        yield s + s_err
+        yield (i + 1) / 2.0 + (s + s_err)
 
 
 def zeno_sum(eta: float, n: int) -> float:
@@ -154,7 +155,7 @@ def second_order_with_criterion(
             stacklevel=2,
         )
     tail = _weighted_tail(eta, n)
-    return 1.0 - 2.0 * (n / 2.0 + tail) * vd2, tail / (n * n)
+    return _second_order(n / 2.0 + tail, vd2), tail / (n * n)
 
 
 def second_order_partial(eta: float, config: EvolutionConfig, i: int) -> float:
@@ -165,11 +166,12 @@ def second_order_partial(eta: float, config: EvolutionConfig, i: int) -> float:
     """
     if not 1 <= i <= config.n:
         raise ValidationError(f"step index {i} outside 1..{config.n}")
-    return 1.0 - 2.0 * zeno_sum(eta, i) * config.V * config.delta**2
+    return _second_order(zeno_sum(eta, i), config.V * config.delta**2)
 
 
-def _second_order_row(i: int, tail: float, V: float, d2: float) -> float:
-    return 1.0 - 2.0 * (i / 2.0 + tail) * V * d2
+def _second_order(s: float, vd2: float) -> float:
+    """1 - 2*S*V*delta^2 from S and vd2 = V*delta^2, multiplied first."""
+    return 1.0 - 2.0 * s * vd2
 
 
 def second_order_series(eta: float, config: EvolutionConfig) -> Iterator[float]:
@@ -182,8 +184,8 @@ def second_order_series(eta: float, config: EvolutionConfig) -> Iterator[float]:
     an ulp. The rows never increase in i: each adds a non-negative term.
     """
     _check_eta_n(eta, config.n)
-    return map(_second_order_row, itertools.count(1), _weighted_tails(eta, config.n),
-               itertools.repeat(config.V), itertools.repeat(config.delta**2))
+    return map(_second_order, _zeno_sums(eta, config.n),
+               itertools.repeat(config.V * config.delta**2))
 
 
 # Below this alpha, intermediate_coefficient sums its Taylor series, whose
@@ -256,7 +258,7 @@ def _aitken_accelerate(seq: list[float]) -> tuple[float, bool]:
         for x0, x1, x2 in zip(s, s[1:], s[2:]):
             denom = (x2 - x1) - (x1 - x0)
             scale = max(abs(x0), abs(x1), abs(x2), 1.0)
-            if abs(denom) <= 1e3 * np.finfo(float).eps * scale:
+            if abs(denom) <= 1e3 * sys.float_info.epsilon * scale:
                 t.append(x2)
             else:
                 t.append(x2 - (x2 - x1) ** 2 / denom)

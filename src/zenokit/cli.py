@@ -1,9 +1,9 @@
 """Command-line surface: simulate, classify, sweep, physical, recohere.
 
 Exit codes: 0 success, 2 invalid parameters, 3 capacity exceeded.
-Parameters come from flags or a JSON config file (--config); flags win.
-Every option is declared once, in PARAMS, and a command lists the ones it
-takes.
+Parameters come from flags or a JSON config file (--config); flags win,
+and a config key that the command does not take exits 2. Every option is
+declared once, in PARAMS, and a command lists the ones it takes.
 Output is CSV or JSON, to stdout or a file, and is deterministic:
 identical invocations produce byte-identical output.
 """
@@ -162,6 +162,8 @@ def _takes(*names, **defaults):
         def run(**flags):
             try:
                 config = _load_config(flags.pop("config", None))
+                require_read(f"config file of {click.get_current_context().info_name}",
+                             [k for k in names if k not in ("output", "config")], config)
                 output = flags.pop("output")
                 _emit(fn(Options(flags, config, defaults)), output)
             except (CapacityError, ValidationError) as exc:
@@ -240,7 +242,7 @@ def simulate(opts):
 
     p_exact = evolution.propagate_projected(config.step_unitary(), schedule, config.n)
     eta = family_eta(schedule, config.n)
-    p_so, criterion = analysis.second_order_with_criterion(eta, config)
+    criterion = analysis.second_order_with_criterion(eta, config)[1]
     p_second = analysis.second_order_series(eta, config)
     p_oracle = (evolution.enumerate_branches(config.step_unitary(), schedule, config.n)
                 if oracle else None)
@@ -250,22 +252,21 @@ def simulate(opts):
     # storing them. The exact column is finite because no overlap's modulus
     # exceeds 1 + 1e-12, so the chain's norm does not grow. The second-order
     # column never increases in the step, so it is finite if its last row
-    # is; only when that row is not are the rows scanned for the first that
-    # is not.
+    # is; the rows are scanned only when that row is not.
     if not math.isfinite(analysis.second_order_partial(eta, config, config.n)):
         _require_finite(analysis.second_order_series(eta, config),
                         lambda i: f"at step {i + 1} {run}")
-    _require_finite([p_so, criterion, *([p_oracle] if oracle else [])],
+    _require_finite([criterion, *([p_oracle] if oracle else [])],
                     lambda _: f"in the summary {run}")
     # Each chunk is checked again as it is made. The first is made here,
     # so that a fault in it stops the run before --output is opened.
     chunks = _row_chunks(p_exact, p_second, lambda step: f"at step {step} {run}")
     chunks = itertools.chain([next(chunks)], chunks)
 
-    def summary(p_last):
-        values = {"p_exact": p_last, "p_second_order": p_so, "criterion": criterion}
+    def summary(row):
+        values = {"p_exact": row[1], "p_second_order": row[2], "criterion": criterion}
         if oracle:
-            values.update(p_oracle=p_oracle, oracle_abs_gap=abs(p_last - p_oracle))
+            values.update(p_oracle=p_oracle, oracle_abs_gap=abs(row[1] - p_oracle))
         return values
 
     # The per-step rows skip the generic encoders: each is formatted once
@@ -283,17 +284,13 @@ def simulate(opts):
         # The summary follows the series at the same depth as in one
         # json.dumps(indent=2) of the whole document.
         return _stream(head + '"series": [\n', chunks, _JSON_SERIES_ITEM, ",\n",
-                       lambda row: "\n  ]," + _json({"summary": summary(row[1])})[1:])
+                       lambda row: "\n  ]," + _json({"summary": summary(row)})[1:])
 
-    def csv_foot(row):
-        values = summary(row[1])
-        foot = "summary,%r,%r,,%r\r\n" % (values["p_exact"], p_so, criterion)
-        if oracle:
-            foot += "oracle,%r,,%r,\r\n" % (p_oracle, values["oracle_abs_gap"])
-        return foot
-
+    csv_foot = "summary,%(p_exact)r,%(p_second_order)r,,%(criterion)r\r\n"
+    if oracle:
+        csv_foot += "oracle,%(p_oracle)r,,%(oracle_abs_gap)r,\r\n"
     return _stream("step,p_exact,p_second_order,abs_gap,criterion\r\n", chunks,
-                   "%d,%r,%r,%r,\r\n", "", csv_foot)
+                   "%d,%r,%r,%r,\r\n", "", lambda row: csv_foot % summary(row))
 
 
 def _row_chunks(p_exact, p_second, where):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zenokit import (
     ConstantOverlap,
@@ -174,6 +174,14 @@ class TestSecondOrderWithCriterion:
             1.0 - 2.0 * zeno_sum(eta, cfg.n) * (cfg.V * cfg.delta**2),
             criterion_value(eta, cfg.n),
         )
+
+    @pytest.mark.filterwarnings("ignore:V\\*delta\\^2")
+    @settings(max_examples=200, deadline=None)
+    @example(1.0, EvolutionConfig(omega=0.7, T=0.9, n=1000))
+    @given(ETAS, RUNS)
+    def test_survival_is_second_order_partial(self, eta, cfg):
+        # One evaluation order, 1 - 2*S*(V*delta^2), serves both.
+        assert second_order_with_criterion(eta, cfg)[0] == second_order_partial(eta, cfg, cfg.n)
 
 
 class TestCriterionValue:

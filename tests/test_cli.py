@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from zenokit import (
     ConstantOverlap,
@@ -45,11 +46,11 @@ def simulate_reference(fmt, omega, T, n, schedule, schedule_fields, oracle):
     config = EvolutionConfig(omega=omega, T=T, n=n)
     series = list(propagate_projected(config.step_unitary(), schedule, n))
     eta = family_eta(schedule, n)
-    p_so, criterion = analysis.second_order_with_criterion(eta, config)
+    criterion = analysis.second_order_with_criterion(eta, config)[1]
     so = list(analysis.second_order_series(eta, config))
     rows = [(i, pe, ps, abs(pe - ps))
             for i, (pe, ps) in enumerate(zip(series, so), start=1)]
-    summary = {"p_exact": series[-1], "p_second_order": p_so, "criterion": criterion}
+    summary = {"p_exact": series[-1], "p_second_order": so[-1], "criterion": criterion}
     if oracle:
         p_oracle = enumerate_branches(config.step_unitary(), schedule, n)
         summary["p_oracle"] = p_oracle
@@ -66,11 +67,48 @@ def simulate_reference(fmt, omega, T, n, schedule, schedule_fields, oracle):
     writer = csv.writer(buf)
     writer.writerow(("step", "p_exact", "p_second_order", "abs_gap", "criterion"))
     writer.writerows((s, repr(pe), repr(ps), repr(g), "") for s, pe, ps, g in rows)
-    writer.writerow(("summary", repr(series[-1]), repr(p_so), "", repr(criterion)))
+    writer.writerow(("summary", repr(series[-1]), repr(so[-1]), "", repr(criterion)))
     if oracle:
         writer.writerow(("oracle", repr(summary["p_oracle"]), "",
                          repr(summary["oracle_abs_gap"]), ""))
     return buf.getvalue()
+
+
+def simulate_rows_and_summary(fmt, out):
+    """(p_exact, p_second_order) of each row of simulate's output, and of
+    its summary."""
+    if fmt == "json":
+        doc = json.loads(out)
+        rows = [(row["p_exact"], row["p_second_order"]) for row in doc["series"]]
+        return rows, (doc["summary"]["p_exact"], doc["summary"]["p_second_order"])
+    records = list(csv.reader(io.StringIO(out)))[1:]
+    rows = [(float(r[1]), float(r[2])) for r in records if r[0].isdigit()]
+    summary = next((float(r[1]), float(r[2])) for r in records if r[0] == "summary")
+    return rows, summary
+
+
+@st.composite
+def simulate_args(draw):
+    """Flags of one simulate run of any schedule type. Constant schedules
+    draw eta = 1 and eta = 1 - 10^-k on their own, beside any eta in
+    [0, 1]; power-law and exponential ones reach eta near 1 at large n."""
+    kind = draw(st.sampled_from(["constant", "power-law", "exponential", "explicit"]))
+    n = draw(st.integers(1, 2000))
+    if kind == "constant":
+        eta = draw(st.one_of(st.just(1.0), st.integers(1, 15).map(lambda k: 1.0 - 10.0**-k),
+                             st.floats(0.0, 1.0)))
+        flags = ["--eta", repr(eta)]
+    elif kind == "explicit":
+        overlaps = draw(st.lists(
+            st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=40))
+        n = len(overlaps)
+        flags = ["--schedule", kind, "--overlaps", ",".join(map(repr, overlaps))]
+    else:
+        flags = ["--schedule", kind, "--alpha", repr(draw(st.floats(0.01, 1.0))),
+                 "--beta", repr(draw(st.floats(0.1, 3.0)))]
+    return ["--omega", repr(draw(st.floats(0.01, 3.0))), "--T", repr(draw(st.floats(0.01, 2.0))),
+            "--n", str(n), *flags]
 
 
 SIMULATE_SCHEDULES = {
@@ -118,6 +156,28 @@ class TestSimulate:
             assert path.read_bytes() == expected.encode()
         else:
             assert r.stdout_bytes == expected.encode()
+
+    @pytest.mark.filterwarnings("ignore:V\\*delta\\^2")
+    @settings(max_examples=60, deadline=None)
+    @example(["--omega", "0.7", "--T", "0.9", "--n", "1000", "--eta", "1"], "csv")
+    @given(simulate_args(), st.sampled_from(["csv", "json"]))
+    def test_summary_is_the_last_row(self, args, fmt):
+        r = invoke(CliRunner(), "simulate", *args, "--format", fmt)
+        assert r.exit_code == 0
+        rows, summary = simulate_rows_and_summary(fmt, r.stdout)
+        assert summary == rows[-1]
+
+    @pytest.mark.parametrize("eta", ["0.3", "0.93", "1"])
+    def test_summary_equals_sweep(self, runner, eta):
+        run = ("--omega", "0.7", "--T", "0.9", "--n", "1000")
+        r = invoke(runner, "simulate", *run, "--eta", eta, "--format", "json")
+        s = invoke(runner, "sweep", *run, "--grid", f"eta={eta}", "--format", "json")
+        assert r.exit_code == s.exit_code == 0
+        doc, point = json.loads(r.stdout), json.loads(s.stdout)[0]
+        last, summary = doc["series"][-1], doc["summary"]
+        for key in ("p_exact", "p_second_order"):
+            assert last[key] == summary[key] == point[key]
+        assert summary["criterion"] == point["criterion"]
 
     def test_basic_run_values(self, runner):
         r = invoke(
@@ -180,15 +240,37 @@ class TestSimulate:
         assert r.exit_code == 2
         assert f"error: {message}" in r.output
 
+    @pytest.mark.filterwarnings("ignore:V\\*delta\\^2")
     def test_non_finite_second_order_is_not_printed(self, runner):
-        # V*delta^2 = 0.01, but 2*S*V overflows from step 2 on
+        # V*delta^2 = 1e306, and 2*S*V*delta^2 = 2*98*1e306 overflows at step 14
         r = invoke(
-            runner, "simulate", "--omega", "1e154", "--T", "1e-154", "--n", "10",
+            runner, "simulate", "--omega", "1e154", "--T", "100", "--n", "1000",
             "--eta", "1",
         )
         assert r.exit_code == 2
         assert r.stdout == ""
-        assert "survival is not finite at step 2" in r.output
+        assert "survival is not finite at step 14" in r.output
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("omega,t_total,n", [
+        ("1e154", "1e-154", 10),
+        ("1e150", "1e-150", 100000),
+    ])
+    def test_large_v_with_small_step_prints_finite_rows(self, runner, fmt, omega,
+                                                        t_total, n):
+        # V*delta^2 is a product of a huge V and a subnormal delta^2. It is
+        # multiplied first, so 2*S*V*delta^2 stays finite where 2*S*V would not.
+        r = invoke(
+            runner, "simulate", "--omega", omega, "--T", t_total, "--n", str(n),
+            "--eta", "1", "--format", fmt,
+        )
+        assert r.exit_code == 0
+        rows, summary = simulate_rows_and_summary(fmt, r.stdout)
+        assert len(rows) == n
+        assert all(math.isfinite(p) for row in rows for p in row)
+        assert summary == rows[-1]
+        config = EvolutionConfig(omega=float(omega), T=float(t_total), n=n)
+        assert summary[1] == analysis.second_order_partial(1.0, config, n)
 
     def test_normalised_explicit_overlaps_run(self, runner):
         r = invoke(
@@ -396,15 +478,28 @@ class TestInvalidInput:
              ("classify",), "the constant schedule does not read alpha"),
             ('{"omega": 1, "T": 1, "n": 2, "schedule": {"type": "constant", "eta": 0.5, '
              '"alpha": 3}}', ("simulate",), "the constant schedule does not read alpha"),
+            ('{"omega": 1, "T": 1, "n": 2, "eta": 0.5, "nn": 7, "output": "unread.out"}',
+             ("simulate",), "the config file of simulate does not read nn"),
+            ('{"omega": 1, "T": 1, "n": 2, "eta": 0.5, "output": "unread.out"}',
+             ("simulate",), "the config file of simulate does not read output"),
+            ('{"schedule": "constant", "eta": 0.5, "n": 100, "n_max": 64}',
+             ("classify",), "the config file of classify does not read n"),
+            ('{"grid": ["omega=0.5,1"], "n": 3, "oracle": true}', ("sweep",),
+             "the config file of sweep does not read oracle"),
+            ('{"D": 2, "T": 1, "model": "free-particle"}', ("physical", "brownian"),
+             "the config file of physical does not read model"),
         ],
     )
-    def test_bad_config_exit_code(self, runner, tmp_path, config, args, message):
+    def test_bad_config_exit_code(self, runner, tmp_path, monkeypatch, config, args,
+                                  message):
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "bad.json"
         cfg.write_text(config)
         r = invoke(runner, *args, "--config", str(cfg))
         assert r.exit_code == 2
         assert r.stdout == ""
         assert f"error: {message}" in r.output
+        assert not (tmp_path / "unread.out").exists()
 
     @pytest.mark.parametrize(
         "grid,message",

@@ -11,7 +11,13 @@ without it. The config whose schedule is the JSON output's own object is
 pinned to the digest of the same run given by flags. The recohere-csv
 digest was re-recorded when its cells changed from repr() of numpy
 scalars, "np.float64(0.5)" under numpy 2, to the plain "0.5" that the
-JSON output and csv.writer give.
+JSON output and csv.writer give. The digests of simulate-config-flat,
+-constant-csv, -constant-json, -eta-one-csv, -exponential-csv and
+-power-law-oracle-json were re-recorded when the per-step second-order
+rows took the summary's evaluation order, 1 - 2*S*(V*delta^2): some rows
+and their abs_gap moved by an ulp (row 1000 of simulate-eta-one-csv from
+0.6031000000000001 to 0.6031, the summary's value), and no summary line
+changed.
 """
 
 import hashlib
@@ -80,18 +86,18 @@ GOLDEN = {
     "physical-gaussian-pointer-csv": (0, "12b0b158d6bfa8a2d40c184d525b02f808ec17e8672d93f114e85292c45e7faa"),
     "recohere-csv": (0, "1cbdeaed75b37ff6f8f98778b9813ddd523d8e6eeb443a5fd56d8fe113ba4080"),
     "recohere-json": (0, "31124b0260e4377247978db405448572488fa05a638bbdf06c6e0eb19e3fbabf"),
-    "simulate-config-flat": (0, "7c16cee6d5a8a44feb880ab4ed7c7ae9aa71f7ea3105e39bd00f7c48f26385a2"),
+    "simulate-config-flat": (0, "53f8ba97da7b02e177f49c2cbc38ae957474e76303ed9f0425da920011c01d2f"),
     "simulate-config-schedule-object": (0, "7d7a2d101a0066dfe58a0dda5ec4ff884b2dbd83808c2194ded71fe2d4f2ee9c"),
-    "simulate-constant-csv": (0, "2e131c04febfdb105f0af1fe8c6fda58d0257993372251da9409ecb0ee9a1dcc"),
-    "simulate-constant-json": (0, "1029355f831dd0a2dab962d7ab1dcd40d58bdd7012bfd269cb42ed45ef18ada3"),
-    "simulate-eta-one-csv": (0, "976473350e3ee9f77def284ec691faf61a5674367cc387fe6aae68c67ee5f755"),
+    "simulate-constant-csv": (0, "ce36d48962e57a32761ccb6037ddf05bf8c4246907f7eb9573bd21476655c098"),
+    "simulate-constant-json": (0, "9ff1be28d5d429caddf96751946eb55d9b9d9d2b1bf121f919b185189b685c55"),
+    "simulate-eta-one-csv": (0, "1d5cc652c7136c12b5aa64acabe19433f1e6644c5f0c330298a51ad0e9b9ba23"),
     "simulate-explicit-json": (0, "7d7a2d101a0066dfe58a0dda5ec4ff884b2dbd83808c2194ded71fe2d4f2ee9c"),
     "simulate-explicit-oracle-csv": (0, "80115c368af734d1550573f21c5f12b0b03d42d09a60a723d772b484a4a3f4ed"),
-    "simulate-exponential-csv": (0, "ea1e268aec8167852eb557a8cdeba01758cc0daac4240d1a34251d9cbcd893e9"),
+    "simulate-exponential-csv": (0, "7e09e4d679f97ba2c07af32b85bfb6ab37d9e6484d9fd058f1566748e1073348"),
     "simulate-invalid-eta-exit-2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "simulate-oracle-cap-exit-3": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "simulate-output-file": (0, "8a04499e3a60eb84651f4e4c05292d31c4cca7f4a2ae3a17c90ae96a6bb9d6d0"),
-    "simulate-power-law-oracle-json": (0, "0ab3144baa8595d4a7a7b58b30c0dd55d60b256efb2433fea3e19bdbc1363046"),
+    "simulate-power-law-oracle-json": (0, "86b674ae4a4a25459eec996782a2f4686853f04880b98b14fff02e051c50bc49"),
     "sweep-config-explicit-csv": (0, "4ac5ae7314c37d6cd99c8c1463c67a3eb9d5322c92cc8d6154f0dc65a5a267d5"),
     "sweep-constant-csv": (0, "ea833a4c88f9080e40696c7aaf6c9357028b9f2479e7b4a88fb4dbb41297c7f2"),
     "sweep-output-json": (0, "42964d490826519aaa2b69dce5d775e7c162f3816740ed37203659bf59af4198"),
