@@ -19,8 +19,6 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import UnclassifiableScheduleError, ValidationError
 from .schedules import (
     ConstantOverlap,
@@ -85,6 +83,8 @@ def _weighted_tail(eta: float, n: int) -> float:
         return 0.0
     if 1.0 - eta >= CLOSED_FORM_CROSSOVER:
         return _closed_form_tail(eta, n)
+    import numpy as np  # here, not at the top: most runs never take the direct sum
+
     # One fsum over all the chunks' terms is as correctly rounded as over
     # one array of them.
     ks = (np.arange(i, min(i + DIRECT_SUM_CHUNK, n), dtype=float)

@@ -20,12 +20,12 @@ import json
 import math
 import operator
 import sys
+import warnings
 from typing import NamedTuple
 
 import click
-import numpy as np
 
-from . import analysis, evolution, physical, register
+from . import analysis, evolution, physical
 from .errors import CapacityError, UnclassifiableScheduleError, ValidationError, require_read
 from .schedules import SCHEDULE_TYPES, family_eta, schedule_from_dict, schedule_to_dict
 from .unitary import EvolutionConfig
@@ -154,12 +154,15 @@ def _takes(*names, **defaults):
 
     The command is called with the Options of one invocation and returns
     the text to print (or write to --output), as one string or an iterable
-    of strings. Invalid parameters exit 2, capacity errors 3.
+    of strings. Invalid parameters exit 2, capacity errors 3. A warning is
+    shown as one line, "warning: <message>", on stderr; the warning filters
+    (-W, PYTHONWARNINGS) still decide whether it is shown at all.
     """
 
     def decorate(fn):
         @functools.wraps(fn)
         def run(**flags):
+            show, warnings.showwarning = warnings.showwarning, _show_warning
             try:
                 config = _load_config(flags.pop("config", None))
                 require_read(f"config file of {click.get_current_context().info_name}",
@@ -169,12 +172,18 @@ def _takes(*names, **defaults):
             except (CapacityError, ValidationError) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(3 if isinstance(exc, CapacityError) else 2)
+            finally:
+                warnings.showwarning = show
 
         for name in reversed(names):
             run = _option(name)(run)
         return run
 
     return decorate
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    click.echo(f"warning: {message}", err=True)
 
 
 def _emit(text, output):
@@ -395,6 +404,8 @@ def _parse_grid(spec):
             )
         if scheme == "geom" and (start <= 0 or stop <= 0):
             raise ValidationError("geom grid endpoints must be positive")
+        import numpy as np
+
         with np.errstate(all="ignore"):  # a range beyond the floats is refused below
             space = np.linspace if scheme == "lin" else np.geomspace
             values = space(start, stop, count).tolist()
@@ -515,6 +526,8 @@ def physical_cmd(opts):
 @_takes("format", "output")
 def recohere(opts):
     """Decoherence/revival stages with a pre-entangled environment pair."""
+    from . import register
+
     stages = [
         {"stage": label,
          "rho": [[[z.real, z.imag] for z in row] for row in rho.matrix.tolist()],

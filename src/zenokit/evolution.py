@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 
-import numpy as np
-
 from .errors import CapacityError, ValidationError
 from .schedules import OverlapSchedule, realize
 from .unitary import FreeEvolutionUnitary
@@ -57,6 +55,8 @@ def _projected_survival(
 def _branch_amplitude(
     U: FreeEvolutionUnitary, overlaps: tuple[complex, ...], n: int
 ) -> complex:
+    import numpy as np
+
     # coef[alpha, state]: alpha 0 means '=', 1 means '!='; state is b_i.
     coef = np.array(
         [[U.c_eq_0, U.c_eq_1], [U.c_neq_0, U.c_neq_1]], dtype=complex

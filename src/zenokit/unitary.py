@@ -14,10 +14,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ROW_NORM_TOL = 1e-9
 
@@ -52,6 +54,8 @@ class FreeEvolutionUnitary:
         return cmath.exp(1j * self.phi) * self.a.conjugate()
 
     def matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [[self.c_eq_0, self.c_neq_0], [self.c_neq_1, self.c_eq_1]],
             dtype=complex,

@@ -3,12 +3,17 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+import zenokit
 from zenokit import (
     ConstantOverlap,
     EvolutionConfig,
@@ -38,6 +43,13 @@ def runner():
 
 def invoke(runner, *args):
     return runner.invoke(main, list(args))
+
+
+def run_fresh(*args, python_flags=()):
+    """The CLI in a fresh interpreter, as a shell runs it: stderr included."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(zenokit.__file__).parents[1])}
+    return subprocess.run([sys.executable, *python_flags, "-m", "zenokit.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 def simulate_reference(fmt, omega, T, n, schedule, schedule_fields, oracle):
@@ -166,6 +178,23 @@ class TestSimulate:
         assert r.exit_code == 0
         rows, summary = simulate_rows_and_summary(fmt, r.stdout)
         assert summary == rows[-1]
+
+    def test_step_size_warning_is_one_line(self):
+        r = run_fresh("simulate", "--omega", "1", "--T", "1", "--n", "2", "--eta", "1")
+        assert r.returncode == 0
+        assert r.stderr.startswith("warning: V*delta^2 = 0.25 > 0.1")
+        assert r.stderr.endswith("\n") and r.stderr.count("\n") == 1
+        assert ".py" not in r.stderr
+
+    @pytest.mark.parametrize("flag,code,stderr", [
+        ("ignore", 0, ""),
+        ("error", 1, "UserWarning: V*delta^2 = 0.25 > 0.1"),
+    ])
+    def test_warning_filters_still_apply(self, flag, code, stderr):
+        r = run_fresh("simulate", "--omega", "1", "--T", "1", "--n", "2", "--eta", "1",
+                      python_flags=("-W", flag))
+        assert r.returncode == code
+        assert stderr in r.stderr and (stderr or not r.stderr)
 
     @pytest.mark.parametrize("eta", ["0.3", "0.93", "1"])
     def test_summary_equals_sweep(self, runner, eta):
@@ -637,13 +666,14 @@ class TestClassify:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_limit_is_not_printed(self, runner, fmt):
         # 1 - V*T^2 overflows to -inf, and the extrapolation to nan
-        with pytest.warns(UserWarning, match="unreliable"):
-            r = invoke(
-                runner, "classify", "--schedule", "constant", "--eta", "1",
-                "--V", "1e300", "--T", "1e5", "--n-max", "4096", "--format", fmt,
-            )
+        r = invoke(
+            runner, "classify", "--schedule", "constant", "--eta", "1",
+            "--V", "1e300", "--T", "1e5", "--n-max", "4096", "--format", fmt,
+        )
         assert r.exit_code == 2
         assert r.stdout == ""
+        assert r.stderr.startswith("warning: V*delta^2 = ")
+        assert "unreliable" in r.stderr
         assert "error: survival is not finite for V = 1e+300, T = 100000.0" in r.output
 
     def test_tiny_intermediate_alpha_runs(self, runner):
@@ -777,13 +807,14 @@ class TestSweep:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_second_order_is_not_printed(self, runner, fmt):
         # V*delta^2 = 1e308 is finite, 2*S*V*delta^2 is not
-        with pytest.warns(UserWarning, match="unreliable"):
-            r = invoke(
-                runner, "sweep", "--grid", "omega=1,1e150", "--T", "2e4", "--n", "2",
-                "--eta", "0.5", "--format", fmt,
-            )
+        r = invoke(
+            runner, "sweep", "--grid", "omega=1,1e150", "--T", "2e4", "--n", "2",
+            "--eta", "0.5", "--format", fmt,
+        )
         assert r.exit_code == 2
         assert r.stdout == ""
+        assert r.stderr.startswith("warning: V*delta^2 = ")
+        assert "unreliable" in r.stderr
         assert "error: survival is not finite at grid point omega = 1e+150" in r.output
 
     def test_normalised_explicit_overlaps_run(self, runner):
@@ -816,13 +847,14 @@ class TestSweep:
     def test_non_finite_point_is_reported_before_a_later_invalid_one(self, runner):
         # omega = 1e150 gives a non-finite second order; omega = 1e200,
         # after it in the grid, puts V = omega^2 beyond the floats
-        with pytest.warns(UserWarning, match="unreliable"):
-            r = invoke(
-                runner, "sweep", "--grid", "omega=1e150,1e200", "--T", "2e4",
-                "--n", "2", "--eta", "0.5",
-            )
+        r = invoke(
+            runner, "sweep", "--grid", "omega=1e150,1e200", "--T", "2e4",
+            "--n", "2", "--eta", "0.5",
+        )
         assert r.exit_code == 2
         assert r.stdout == ""
+        assert r.stderr.startswith("warning: V*delta^2 = ")
+        assert "unreliable" in r.stderr
         assert "error: survival is not finite at grid point omega = 1e+150" in r.output
 
     def test_tiny_intermediate_alpha_runs(self, runner):

@@ -1,0 +1,86 @@
+"""numpy stays off zenokit's start-up path: each test runs a fresh interpreter."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import zenokit
+
+REGISTER_NAMES = ("DensityMatrix2", "QubitRegister", "apply_cnot",
+                  "partial_trace_to_system", "recoherence_demo")
+
+# Writes to stderr, as JSON, whether numpy is loaded after each stage.
+NUMPY_PROBE = """
+import json, sys
+loaded = {}
+import zenokit
+loaded["import zenokit"] = "numpy" in sys.modules
+import zenokit.cli
+loaded["import zenokit.cli"] = "numpy" in sys.modules
+try:
+    zenokit.cli.main(sys.argv[1:])
+except SystemExit as exc:
+    loaded["exit"] = exc.code
+loaded["main"] = "numpy" in sys.modules
+sys.stderr.write(json.dumps(loaded))
+"""
+
+LAZY_API_PROBE = f"""
+import sys
+import zenokit
+names = {REGISTER_NAMES!r}
+assert set(names) <= set(dir(zenokit)), dir(zenokit)
+assert "numpy" not in sys.modules
+from zenokit import QubitRegister, recoherence_demo
+from zenokit import register
+assert (QubitRegister, recoherence_demo) == (register.QubitRegister, register.recoherence_demo)
+try:
+    zenokit.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("zenokit.no_such_name did not raise")
+namespace = {{}}
+exec("from zenokit import *", namespace)
+assert set(names) <= set(namespace), sorted(namespace)
+"""
+
+
+def run_fresh(code, *args):
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(zenokit.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+
+
+def numpy_loaded(*args):
+    r = run_fresh(NUMPY_PROBE, *args)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stderr)
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"],
+    ["simulate", "--omega", "0.7", "--T", "0.9", "--eta", "0.95", "--n", "1000"],
+    ["classify", "--schedule", "constant", "--eta", "0.5"],
+    ["physical", "free-particle", "--m", "1e-26", "--sigma", "1e-10"],
+])
+def test_numpy_is_not_loaded(args):
+    assert numpy_loaded(*args) == {
+        "import zenokit": False, "import zenokit.cli": False, "exit": 0, "main": False}
+
+
+def test_numpy_is_loaded_by_the_direct_sum():
+    # the control: at eta = 1 the second order takes the numpy direct sum
+    loaded = numpy_loaded("simulate", "--omega", "0.7", "--T", "0.9", "--eta", "1",
+                          "--n", "1000")
+    assert loaded == {
+        "import zenokit": False, "import zenokit.cli": False, "exit": 0, "main": True}
+
+
+def test_register_names_are_served_lazily():
+    r = run_fresh(LAZY_API_PROBE)
+    assert r.returncode == 0, r.stderr
