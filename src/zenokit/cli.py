@@ -60,7 +60,8 @@ PARAMS = {
     "n": Param(int, 1, "Number of steps."),
     "V": Param(float, None, "Hamiltonian variance; omega^2 if --omega is given instead."),
     "n_max": Param(int, 2**20, "Largest n probed numerically (default 2^20)."),
-    "oracle": Param(bool, False, "Cross-check against the 2^n branch oracle (n <= 20)."),
+    "oracle": Param(bool, False, "Cross-check against the branch-word oracle "
+                                 f"(n <= {evolution.ORACLE_MAX_STEPS})."),
     "schedule": Param(click.Choice(list(SCHEDULE_TYPES)), "constant",
                       "Overlap schedule family."),
     "eta": Param(float, None, "Constant overlap in [0, 1]."),
@@ -156,7 +157,8 @@ def _takes(*names, **defaults):
     the text to print (or write to --output), as one string or an iterable
     of strings. Invalid parameters exit 2, capacity errors 3. A warning is
     shown as one line, "warning: <message>", on stderr; the warning filters
-    (-W, PYTHONWARNINGS) still decide whether it is shown at all.
+    (-W, PYTHONWARNINGS) still decide whether it is shown at all, and a
+    warning that they turn into an error exits 2 like an invalid parameter.
     """
 
     def decorate(fn):
@@ -169,7 +171,7 @@ def _takes(*names, **defaults):
                              [k for k in names if k not in ("output", "config")], config)
                 output = flags.pop("output")
                 _emit(fn(Options(flags, config, defaults)), output)
-            except (CapacityError, ValidationError) as exc:
+            except (CapacityError, ValidationError, Warning) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(3 if isinstance(exc, CapacityError) else 2)
             finally:

@@ -41,6 +41,7 @@ from zenokit import (
     zeno_sum,
 )
 from zenokit.cli import main as cli_main
+from zenokit.evolution import ORACLE_MAX_STEPS
 
 
 def report(num, text):
@@ -53,7 +54,7 @@ def test_criterion_1_oracle_equivalence():
     start = time.time()
     worst = 0.0
     for _ in range(200):
-        n = int(rng.integers(1, 15))
+        n = int(rng.integers(1, ORACLE_MAX_STEPS + 1))
         x = rng.standard_normal(4)
         x /= np.linalg.norm(x)
         u = make_general_unitary(
@@ -236,7 +237,7 @@ def test_criterion_8_cli_contract():
                "--eta", "0.5").exit_code == 0
     assert run("simulate", "--omega", "1", "--T", "1", "--n", "5",
                "--eta", "1.5").exit_code == 2
-    assert run("simulate", "--omega", "1", "--T", "1", "--n", "25",
+    assert run("simulate", "--omega", "1", "--T", "1", "--n", "33",
                "--eta", "0", "--oracle").exit_code == 3
     assert run("sweep", "--grid", "eta=", "--n", "4").exit_code == 2
     assert run("sweep", "--grid", "eta=lin:0:1:2000", "--grid",

@@ -195,8 +195,11 @@ class TestSimulate:
     def test_warning_as_error_still_raises(self):
         r = run_fresh("simulate", "--omega", "1", "--T", "1", "--n", "2", "--eta", "1",
                       python_flags=("-W", "error"))
-        assert r.returncode == 1
-        assert "UserWarning: V*delta^2 = 0.25 > 0.1" in r.stderr
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: V*delta^2 = 0.25 > 0.1")
+        assert r.stderr.endswith("\n") and r.stderr.count("\n") == 1
+        assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("eta", ["0.3", "0.93", "1"])
     def test_summary_equals_sweep(self, runner, eta):
@@ -233,7 +236,7 @@ class TestSimulate:
 
     def test_oracle_capacity_exit_code(self, runner):
         r = invoke(
-            runner, "simulate", "--omega", "1", "--T", "1", "--n", "25",
+            runner, "simulate", "--omega", "1", "--T", "1", "--n", "33",
             "--eta", "0", "--oracle",
         )
         assert r.exit_code == 3

@@ -17,7 +17,12 @@ JSON output and csv.writer give. The digests of simulate-config-flat,
 rows took the summary's evaluation order, 1 - 2*S*(V*delta^2): some rows
 and their abs_gap moved by an ulp (row 1000 of simulate-eta-one-csv from
 0.6031000000000001 to 0.6031, the summary's value), and no summary line
-changed.
+changed. The digest of simulate-explicit-oracle-csv was re-recorded when
+the branch oracle became a meet-in-the-middle sum: its oracle row moved
+from 0.6981365589044951 to 0.6981365589044949 and its oracle_abs_gap
+from 4.4e-16 to 2.2e-16, nearer the 50-digit mpmath chain's
+0.698136558904494726; no other row changed. The oracle's cap went from
+20 to 32 steps then, and simulate-oracle-cap-exit-3 from n = 21 to 33.
 """
 
 import hashlib
@@ -56,7 +61,7 @@ CASES = {
     "simulate-config-schedule-object": "simulate --config {schedule_object}",
     "simulate-output-file": f"{SIM} --n 40 --eta 0.8 --output {{out}}",
     "simulate-invalid-eta-exit-2": "simulate --omega 1 --T 1 --n 5 --eta 1.5",
-    "simulate-oracle-cap-exit-3": "simulate --omega 1 --T 1 --n 21 --eta 0.5 --oracle",
+    "simulate-oracle-cap-exit-3": "simulate --omega 1 --T 1 --n 33 --eta 0.5 --oracle",
     "classify-constant-json": "classify --schedule constant --eta 0.5 --omega 1 --n-max 4096",
     "classify-power-law-csv":
         "classify --schedule power-law --alpha 1 --beta 1 --V 2 --n-max 4096 --format csv",
@@ -92,7 +97,7 @@ GOLDEN = {
     "simulate-constant-json": (0, "9ff1be28d5d429caddf96751946eb55d9b9d9d2b1bf121f919b185189b685c55"),
     "simulate-eta-one-csv": (0, "1d5cc652c7136c12b5aa64acabe19433f1e6644c5f0c330298a51ad0e9b9ba23"),
     "simulate-explicit-json": (0, "7d7a2d101a0066dfe58a0dda5ec4ff884b2dbd83808c2194ded71fe2d4f2ee9c"),
-    "simulate-explicit-oracle-csv": (0, "80115c368af734d1550573f21c5f12b0b03d42d09a60a723d772b484a4a3f4ed"),
+    "simulate-explicit-oracle-csv": (0, "a15dcbc00d930e0f4213ae853e19f677aaa1500b88d0a20b3f9244f4e2d31d20"),
     "simulate-exponential-csv": (0, "7e09e4d679f97ba2c07af32b85bfb6ab37d9e6484d9fd058f1566748e1073348"),
     "simulate-invalid-eta-exit-2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "simulate-oracle-cap-exit-3": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

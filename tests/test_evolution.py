@@ -17,6 +17,7 @@ from zenokit import (
     propagate_projected,
     second_order_with_criterion,
 )
+from zenokit.evolution import ORACLE_MAX_STEPS
 
 
 def random_unitary(rng):
@@ -31,6 +32,37 @@ def random_overlaps(rng, n):
     mods = rng.uniform(0, 1, n)
     phases = rng.uniform(0, 2 * math.pi, n)
     return ExplicitOverlaps(overlaps=tuple(mods * np.exp(1j * phases)))
+
+
+def full_enumeration(u, overlaps):
+    """Survival as the plain sum over all 2^n branch words, in numpy.
+
+    Word bit alpha_i is 0 for '=' and 1 for '!='; the state b_i is the
+    running parity of the word, and a word counts when b_n = 0. Its weight
+    is the product of coef[alpha_i, b_i] times the overlaps of the steps
+    that end in state 1. Kept here as a second oracle that shares no code
+    with the library's meet-in-the-middle sum; small n only.
+    """
+    n = len(overlaps)
+    coef = np.array([[u.c_eq_0, u.c_eq_1], [u.c_neq_0, u.c_neq_1]], dtype=complex)
+    words = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    b = np.cumsum(words, axis=1) & 1
+    keep = b[:, -1] == 0
+    amps = np.prod(coef[words[keep], b[keep]], axis=1)
+    brackets = np.prod(np.where(b[keep] == 1, np.asarray(overlaps)[None, :], 1.0), axis=1)
+    total = amps * brackets
+    return abs(complex(math.fsum(total.real), math.fsum(total.imag))) ** 2
+
+
+def mpmath_chain(u, overlaps, mpmath):
+    """Survival from the recurrence run in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        c_eq_0, c_neq_0, c_neq_1, c_eq_1 = (
+            mpmath.mpc(c) for c in (u.c_eq_0, u.c_neq_0, u.c_neq_1, u.c_eq_1))
+        a0, a1 = mpmath.mpc(1), mpmath.mpc(0)
+        for ov in overlaps:
+            a0, a1 = c_eq_0 * a0 + c_neq_0 * a1, (c_neq_1 * a0 + c_eq_1 * a1) * mpmath.mpc(ov)
+        return float(abs(a0) ** 2)
 
 
 angles = st.floats(0.0, 2 * math.pi)
@@ -84,7 +116,24 @@ class TestEnumerateBranches:
     def test_capacity_cap_errors_loudly(self):
         u = make_rabi_unitary(1.0, 0.1)
         with pytest.raises(CapacityError, match="2\\^n"):
-            enumerate_branches(u, ConstantOverlap(eta=0.5), 21)
+            enumerate_branches(u, ConstantOverlap(eta=0.5), 33)
+
+    def test_matches_the_full_enumeration(self):
+        rng = np.random.default_rng(13)
+        for n in list(range(1, 15)) * 3:
+            u = random_unitary(rng)
+            sched = random_overlaps(rng, n)
+            p_full = full_enumeration(u, sched.overlaps)
+            assert abs(enumerate_branches(u, sched, n) - p_full) <= 1e-14
+
+    def test_matches_a_50_digit_chain_up_to_the_cap(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(17)
+        for n in [*range(1, 9), 15, 16, 17, 20, 21, 24, 27, 30, 31, ORACLE_MAX_STEPS]:
+            u = random_unitary(rng)
+            sched = random_overlaps(rng, n)
+            want = mpmath_chain(u, sched.overlaps, mpmath)
+            assert abs(enumerate_branches(u, sched, n) - want) <= 1e-14
 
 
 class TestOracleEquivalence:

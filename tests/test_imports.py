@@ -65,6 +65,7 @@ def numpy_loaded(*args):
 @pytest.mark.parametrize("args", [
     ["--help"],
     ["simulate", "--omega", "0.7", "--T", "0.9", "--eta", "0.95", "--n", "1000"],
+    ["simulate", "--omega", "0.7", "--T", "0.9", "--n", "20", "--eta", "0.5", "--oracle"],
     ["classify", "--schedule", "constant", "--eta", "0.5"],
     ["physical", "free-particle", "--m", "1e-26", "--sigma", "1e-10"],
 ])
