@@ -1,9 +1,9 @@
 """Command-line surface: simulate, classify, sweep, physical, recohere.
 
 Exit codes: 0 success, 2 invalid parameters, 3 capacity exceeded.
-Parameters come from flags or a JSON config file (--config); flags win,
-and a config key that the command does not take exits 2. Every option is
-declared once, in PARAMS, and a command lists the ones it takes.
+Parameters come from flags, then a JSON config file (--config), then the
+command's defaults; a config key that the command does not take exits 2.
+Every option is declared once, in PARAMS, and a command lists the ones it takes.
 Output is CSV or JSON, to stdout or a file, and is deterministic:
 identical invocations produce byte-identical output.
 """
@@ -86,13 +86,9 @@ SCHEDULE_FIELDS = tuple(dict.fromkeys(  # each schedule type's fields, each once
 SCHEDULE_OPTIONS = ("schedule", *SCHEDULE_FIELDS)
 
 
-def _option(name):
-    param = PARAMS[name]
-    return click.option("--" + name.replace("_", "-"), name, type=param.type, default=None,
-                        is_flag=param.type is bool, multiple=param.multiple, help=param.help)
-
-
-def _load_config(path):
+def _read_config(path, names):
+    """The config file's values, converted as their flags would be (the schedule's
+    by schedule_from_dict); a key that is not one of names exits 2."""
     if path is None:
         return {}
     try:
@@ -102,37 +98,30 @@ def _load_config(path):
         raise ValidationError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
-    return data
+    require_read(f"config file of {click.get_current_context().info_name}",
+                 [k for k in names if k not in ("output", "config")], data)
+    return {k: v if k in SCHEDULE_OPTIONS else _convert(k, v)
+            for k, v in data.items() if v is not None}
 
 
-class Options:
-    """A command's parameter values: the flag, else the config file's
-    value converted as the flag would be, else the default."""
+class Options(collections.ChainMap):
+    """A command's values: the flags given, then the config file, then the defaults."""
 
-    def __init__(self, flags, config, defaults):
-        self.flags = {k: v for k, v in flags.items() if v is not None and v != ()}
-        self.config = {k: v for k, v in config.items() if v is not None}
-        self.defaults = defaults
-        self.given = {**self.config, **self.flags}  # the values given, flags winning
+    def __missing__(self, name):
+        raise ValidationError(f"missing required parameter: {name}")
 
-    def __getitem__(self, name):
-        if name in self.flags:
-            return self.flags[name]
-        if name in self.config:
-            return _convert(name, self.config[name])
-        value = self.defaults.get(name, PARAMS[name].default)
-        if value is REQUIRED:
-            raise ValidationError(f"missing required parameter: {name}")
-        return value
+    def given(self, name):
+        """Whether a flag or the config file set name, not a default."""
+        return name in self.maps[0] or name in self.maps[1]
 
     def schedule(self):
         """The schedule object --schedule (or the config's "schedule", a type
         name or a whole schedule object) gives, with --eta, --alpha, --beta
         and --overlaps laid over it; schedule_from_dict converts its fields
         and refuses one that the schedule type does not read."""
-        kind = self.given.get("schedule", "constant")
+        kind = self["schedule"]
         fields = dict(kind) if isinstance(kind, dict) else {"type": kind}
-        fields.update((k, self.given[k]) for k in SCHEDULE_FIELDS if k in self.given)
+        fields.update((k, self[k]) for k in SCHEDULE_FIELDS if self.given(k))
         return fields
 
 
@@ -153,23 +142,25 @@ def _convert(name, value):
 def _takes(*names, **defaults):
     """Give a click command the options `names` from PARAMS, in that order.
 
-    The command is called with the Options of one invocation and returns
+    The command is called with the Options of one invocation, whose
+    defaults are PARAMS' with `defaults` laid over them, and returns
     the text to print (or write to --output), as one string or an iterable
     of strings. Invalid parameters exit 2, capacity errors 3. A warning is
     shown as one line, "warning: <message>", on stderr; the warning filters
     (-W, PYTHONWARNINGS) still decide whether it is shown at all, and a
     warning that they turn into an error exits 2 like an invalid parameter.
     """
+    defaults = {name: value for name in names
+                if (value := defaults.get(name, PARAMS[name].default)) is not REQUIRED}
 
     def decorate(fn):
         @functools.wraps(fn)
         def run(**flags):
             show, warnings.showwarning = warnings.showwarning, _show_warning
             try:
-                config = _load_config(flags.pop("config", None))
-                require_read(f"config file of {click.get_current_context().info_name}",
-                             [k for k in names if k not in ("output", "config")], config)
+                config = _read_config(flags.pop("config", None), names)
                 output = flags.pop("output")
+                flags = {k: v for k, v in flags.items() if v is not None and v != ()}
                 _emit(fn(Options(flags, config, defaults)), output)
             except (CapacityError, ValidationError, Warning) as exc:
                 click.echo(f"error: {exc}", err=True)
@@ -178,7 +169,10 @@ def _takes(*names, **defaults):
                 warnings.showwarning = show
 
         for name in reversed(names):
-            run = _option(name)(run)
+            param = PARAMS[name]
+            run = click.option("--" + name.replace("_", "-"), name, type=param.type,
+                               default=None, is_flag=param.type is bool,
+                               multiple=param.multiple, help=param.help)(run)
         return run
 
     return decorate
@@ -333,6 +327,8 @@ def classify(opts):
     """Analytic regime of a schedule family, with a numeric cross-check."""
     schedule = schedule_from_dict(opts.schedule())
     variance, t_total = opts["V"], opts["T"]
+    if variance is not None and opts.given("omega"):
+        raise ValidationError("give V or omega, not both")
     if variance is not None and not (math.isfinite(variance) and variance >= 0):
         raise ValidationError(f"V must be finite and >= 0, got {variance}")
     omega = opts["omega"] if variance is None else math.sqrt(variance)
@@ -444,6 +440,9 @@ def sweep(opts):
         raise CapacityError(f"grid has {total} points, above the cap of {SWEEP_POINT_CAP}")
 
     fields = opts.schedule()
+    for name in names:
+        if opts.given(name) or name in fields:
+            raise ValidationError(f"{name} is swept by --grid and also given; give it once")
     if fields.get("type") == "constant":
         fields.setdefault("eta", 1.0)
 
@@ -500,7 +499,7 @@ def physical_cmd(opts):
     model = opts["model"]
     cls, to_schedule = PHYSICAL_MODELS[model]
     read = [field.name for field in dataclasses.fields(cls)]
-    require_read(f"{model} model", read, [k for k in opts.given if k in PHYSICAL_PARAMS])
+    require_read(f"{model} model", read, [k for k in PHYSICAL_PARAMS if opts.given(k)])
     params = cls(**{name: opts[name] for name in read})
     record = {"model": model, **dataclasses.asdict(params)}
     if to_schedule is None:

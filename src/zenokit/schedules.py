@@ -24,10 +24,6 @@ from .errors import ValidationError, require_read
 _MODULUS_SLACK = 1e-12
 
 
-def _finite_positive(*values: float) -> bool:
-    return all(math.isfinite(v) and v > 0 for v in values)
-
-
 @dataclass(frozen=True)
 class ConstantOverlap:
     eta: complex
@@ -40,33 +36,28 @@ class ConstantOverlap:
 
 
 @dataclass(frozen=True)
-class PowerLawOverlap:
-    """eta_n = 1 - alpha / n**beta."""
+class _Family:
+    """A family schedule's two parameters, both finite and > 0."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not _finite_positive(self.alpha, self.beta):
+        if not all(math.isfinite(v) and v > 0 for v in (self.alpha, self.beta)):
             raise ValidationError(
-                f"power-law schedule needs finite alpha > 0 and beta > 0, "
+                f"{_TYPE_NAMES[type(self)]} schedule needs finite alpha > 0 and beta > 0, "
                 f"got alpha={self.alpha}, beta={self.beta}"
             )
 
 
 @dataclass(frozen=True)
-class ExponentialOverlap:
+class PowerLawOverlap(_Family):
+    """eta_n = 1 - alpha / n**beta."""
+
+
+@dataclass(frozen=True)
+class ExponentialOverlap(_Family):
     """eta_n = 1 - alpha * exp(-beta * n)."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not _finite_positive(self.alpha, self.beta):
-            raise ValidationError(
-                f"exponential schedule needs finite alpha > 0 and beta > 0, "
-                f"got alpha={self.alpha}, beta={self.beta}"
-            )
 
 
 @dataclass(frozen=True)

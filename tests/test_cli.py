@@ -23,6 +23,7 @@ from zenokit import (
     cli,
     criterion_value,
     enumerate_branches,
+    evolution,
     family_eta,
     propagate_projected,
 )
@@ -43,6 +44,12 @@ def runner():
 
 def invoke(runner, *args):
     return runner.invoke(main, list(args))
+
+
+def as_flags(values):
+    """The command-line flags that give values, one flag per item of a list."""
+    return [x for k, v in values.items() for item in (v if isinstance(v, list) else [v])
+            for x in (f"--{k.replace('_', '-')}", str(item))]
 
 
 def run_fresh(*args, python_flags=()):
@@ -654,6 +661,28 @@ class TestClassify:
         assert r.exit_code == 2
         assert f"error: V must be finite and >= 0, got {float(variance)}" in r.output
 
+    @pytest.mark.parametrize("flags,config", [
+        ({"V": 2, "omega": 5}, {}),
+        ({"V": 2}, {"omega": 5}),
+        ({"omega": 5}, {"V": 2}),
+        ({}, {"V": 2, "omega": 5}),
+    ], ids=["flag-flag", "flag-config", "config-flag", "config-config"])
+    def test_variance_with_omega_exit_code(self, runner, tmp_path, flags, config):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"schedule": "constant", "eta": 0.5, "n_max": 64,
+                                   **config}))
+        r = invoke(runner, "classify", "--config", str(cfg), *as_flags(flags))
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert "error: give V or omega, not both" in r.output
+
+    def test_variance_alone_equals_omega_alone(self, runner):
+        args = ("classify", "--schedule", "constant", "--eta", "0.5", "--n-max", "64")
+        by_omega = invoke(runner, *args, "--omega", "2")
+        by_variance = invoke(runner, *args, "--V", "4")
+        assert by_omega.exit_code == by_variance.exit_code == 0
+        assert by_variance.stdout_bytes == by_omega.stdout_bytes
+
     def test_flags_override_config_schedule_object(self, runner, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"schedule": {"type": "power-law", "alpha": 1,
@@ -849,6 +878,35 @@ class TestSweep:
         assert r.stdout == ""
         assert "error: the constant schedule does not read alpha" in r.output
 
+    @pytest.mark.parametrize("args,config,name", [
+        (("--grid", "n=10,20", "--n", "5"), None, "n"),
+        (("--grid", "eta=0.3,0.6", "--eta", "0.9"), None, "eta"),
+        (("--grid", "alpha=1,2", "--schedule", "power-law", "--alpha", "7", "--beta", "2"),
+         None, "alpha"),
+        ((), {"T": 0.5, "grid": ["T=0.3,0.6"], "eta": 0.5, "n": 4}, "T"),
+        ((), {"schedule": {"type": "constant", "eta": 0.5}, "grid": ["eta=0.3,0.6"], "n": 5},
+         "eta"),
+    ])
+    def test_swept_parameter_also_given_exit_code(self, runner, tmp_path, monkeypatch,
+                                                  args, config, name):
+        points = collections.Counter()
+        original = evolution.propagate_projected
+
+        def counted(*a):
+            points["run"] += 1
+            return original(*a)
+
+        monkeypatch.setattr(evolution, "propagate_projected", counted)
+        if config is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(config))
+            args = ("--config", str(cfg))
+        r = invoke(runner, "sweep", *args)
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert f"error: {name} is swept by --grid and also given" in r.output
+        assert points["run"] == 0
+
     def test_non_finite_point_is_reported_before_a_later_invalid_one(self, runner):
         # omega = 1e150 gives a non-finite second order; omega = 1e200,
         # after it in the grid, puts V = omega^2 beyond the floats
@@ -959,6 +1017,15 @@ class TestPhysical:
         assert r.stdout == ""
         assert f"error: the {model} model does not read {unread}" in r.output
 
+    def test_config_value_is_converted_when_the_file_is_read(self, runner, tmp_path):
+        # m is refused as a bad float before the model is found not to read it
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"D": 2, "T": 1, "m": "abc"}))
+        r = invoke(runner, "physical", "brownian", "--config", str(cfg))
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert "error: config m: 'abc' is not a valid float" in r.output
+
 
 class TestRecohere:
     def test_stage_coherences(self, runner):
@@ -1021,3 +1088,47 @@ def test_csv_numbers_equal_json_fields(runner, args):
                 assert row[name] == str(value), name
             else:
                 assert float(row[name]) == value, name
+
+
+# One run of each command as its values, and a second value for one of
+# them that changes the output.
+LAYERED = [
+    (("simulate",), {"omega": 0.7, "T": 0.9, "n": 6, "schedule": "power-law",
+                     "alpha": 1.0, "beta": 2.0, "format": "json"}, ("omega", 0.2)),
+    (("classify",), {"schedule": "exponential", "alpha": 0.6, "beta": 0.4, "V": 2.0,
+                     "T": 0.8, "n_max": 4096}, ("V", 3.0)),
+    (("sweep",), {"grid": ["eta=0.3,0.6", "n=2,5"], "omega": 0.8, "T": 0.4,
+                  "format": "json"}, ("T", 0.9)),
+    (("physical", "gaussian-pointer"), {"v": 1.0, "sigma": 1.0, "c_ratio": 0.5,
+                                        "T": 1.0, "format": "csv"}, ("sigma", 2.0)),
+]
+LAYERED_IDS = [args[0] for args, _, _ in LAYERED]
+
+
+class TestLayers:
+    """A value comes from its flag, else the config file, else the default."""
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("args,values,other", LAYERED, ids=LAYERED_IDS)
+    def test_values_split_with_a_config_file_print_the_same_bytes(
+            self, runner, tmp_path, args, values, other, parity):
+        by_flags = invoke(runner, *args, *as_flags(values))
+        assert by_flags.exit_code == 0
+        items = list(values.items())
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(dict(items[1 - parity::2])))
+        split = invoke(runner, *args, "--config", str(cfg), *as_flags(dict(items[parity::2])))
+        assert split.exit_code == 0
+        assert split.stdout_bytes == by_flags.stdout_bytes
+
+    @pytest.mark.parametrize("args,values,other", LAYERED, ids=LAYERED_IDS)
+    def test_flag_beats_the_config_key(self, runner, tmp_path, args, values, other):
+        name, value = other
+        by_flags = invoke(runner, *args, *as_flags(values))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**values, name: value}))
+        by_config = invoke(runner, *args, "--config", str(cfg))
+        both = invoke(runner, *args, "--config", str(cfg), *as_flags({name: values[name]}))
+        assert by_flags.exit_code == by_config.exit_code == both.exit_code == 0
+        assert by_config.stdout_bytes != by_flags.stdout_bytes
+        assert both.stdout_bytes == by_flags.stdout_bytes

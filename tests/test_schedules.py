@@ -66,6 +66,25 @@ def test_families_reject_non_finite_parameters(cls, bad):
         cls(alpha=1.0, beta=bad)
 
 
+@pytest.mark.parametrize("cls,name", [(PowerLawOverlap, "power-law"),
+                                      (ExponentialOverlap, "exponential")])
+def test_family_message_names_its_type(cls, name):
+    with pytest.raises(ValidationError) as info:
+        cls(alpha=-1.0, beta=math.inf)
+    assert str(info.value) == (
+        f"{name} schedule needs finite alpha > 0 and beta > 0, got alpha=-1.0, beta=inf")
+
+
+def test_families_are_distinct_values():
+    power_law, exponential = PowerLawOverlap(1.0, 2.0), ExponentialOverlap(1.0, 2.0)
+    assert power_law != exponential
+    assert power_law == PowerLawOverlap(alpha=1.0, beta=2.0)
+    assert repr(exponential) == "ExponentialOverlap(alpha=1.0, beta=2.0)"
+    assert len({power_law, PowerLawOverlap(1.0, 2.0), exponential}) == 2
+    with pytest.raises(AttributeError):
+        power_law.alpha = 3.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, complex(0.5, math.nan), complex(math.inf, 0)])
 def test_overlaps_reject_non_finite_values(bad):
     with pytest.raises(ValidationError, match="finite"):
