@@ -6,7 +6,6 @@ from .analysis import (
     classify_schedule,
     criterion_value,
     intermediate_coefficient,
-    limit_pn,
     numeric_limit_probe,
     second_order_with_criterion,
     zeno_sum,

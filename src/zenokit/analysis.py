@@ -147,7 +147,7 @@ def second_order_with_criterion(
     criterion_value(eta, n), from one evaluation of the weighted tail."""
     n = config.n
     _check_eta_n(eta, n)
-    vd2 = config.V * config.delta**2
+    vd2 = config.vd2
     if vd2 > 0.1:
         warnings.warn(
             f"V*delta^2 = {vd2:.3g} > 0.1; the second-order formula is "
@@ -166,7 +166,7 @@ def second_order_partial(eta: float, config: EvolutionConfig, i: int) -> float:
     """
     if not 1 <= i <= config.n:
         raise ValidationError(f"step index {i} outside 1..{config.n}")
-    return _second_order(zeno_sum(eta, i), config.V * config.delta**2)
+    return _second_order(zeno_sum(eta, i), config.vd2)
 
 
 def _second_order(s: float, vd2: float) -> float:
@@ -184,8 +184,7 @@ def second_order_series(eta: float, config: EvolutionConfig) -> Iterator[float]:
     an ulp. The rows never increase in i: each adds a non-negative term.
     """
     _check_eta_n(eta, config.n)
-    return map(_second_order, _zeno_sums(eta, config.n),
-               itertools.repeat(config.V * config.delta**2))
+    return map(_second_order, _zeno_sums(eta, config.n), itertools.repeat(config.vd2))
 
 
 # Below this alpha, intermediate_coefficient sums its Taylor series, whose
@@ -221,8 +220,7 @@ def classify_schedule(schedule: OverlapSchedule) -> RegimeClassification:
     them with numeric_limit_probe instead.
     """
     if isinstance(schedule, ConstantOverlap):
-        eta = abs(schedule.eta)
-        if eta == 1.0:
+        if family_eta(schedule, 1) == 1.0:  # a constant's eta is the same at every n
             return RegimeClassification(Regime.FREE_EVOLUTION, 1.0)
         return RegimeClassification(Regime.ZENO, 0.0)
     if isinstance(schedule, PowerLawOverlap):
@@ -238,11 +236,6 @@ def classify_schedule(schedule: OverlapSchedule) -> RegimeClassification:
     raise UnclassifiableScheduleError(
         f"{type(schedule).__name__} has no analytic regime; numeric-only"
     )
-
-
-def limit_pn(schedule: OverlapSchedule, V: float, T: float) -> float:
-    """Limiting survival probability of a family schedule as n -> infinity."""
-    return classify_schedule(schedule).limit_p(V, T)
 
 
 def _aitken_accelerate(seq: list[float]) -> tuple[float, bool]:

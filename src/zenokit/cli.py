@@ -34,7 +34,6 @@ SWEEP_POINT_CAP = 10**6
 # simulate formats, checks and writes its rows this many at a time, so its
 # memory does not grow with n.
 ROW_CHUNK = 4096
-SWEEP_PARAMS = ("n", "eta", "alpha", "beta", "omega", "T")
 CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(EvolutionConfig))
 REQUIRED = object()
 
@@ -84,6 +83,7 @@ PARAMS = {
 SCHEDULE_FIELDS = tuple(dict.fromkeys(  # each schedule type's fields, each once
     field.name for cls in SCHEDULE_TYPES.values() for field in dataclasses.fields(cls)))
 SCHEDULE_OPTIONS = ("schedule", *SCHEDULE_FIELDS)
+SWEEP_PARAMS = (*CONFIG_FIELDS, *(f for f in SCHEDULE_FIELDS if f != "overlaps"))
 
 
 def _read_config(path, names):
@@ -245,17 +245,16 @@ def simulate(opts):
     schedule = schedule_from_dict(opts.schedule())
     oracle, fmt = opts["oracle"], opts["format"]
 
-    p_exact = evolution.propagate_projected(config.step_unitary(), schedule, config.n)
+    step = config.step_unitary()
+    p_exact = evolution.propagate_projected(step, schedule, config.n)
     eta = family_eta(schedule, config.n)
     criterion = analysis.second_order_with_criterion(eta, config)[1]
     p_second = analysis.second_order_series(eta, config)
-    p_oracle = (evolution.enumerate_branches(config.step_unitary(), schedule, config.n)
-                if oracle else None)
+    p_oracle = evolution.enumerate_branches(step, schedule, config.n) if oracle else None
     run = f"for omega = {config.omega!r}, T = {config.T!r}, n = {config.n}"
 
-    # Every row is known to be finite before the first is printed, without
-    # storing them. The exact column is finite because no overlap's modulus
-    # exceeds 1 + 1e-12, so the chain's norm does not grow. The second-order
+    # The exact column is finite, though the overlaps' 1e-12 modulus slack and
+    # rounding can both make the chain's norm grow past 1. The second-order
     # column never increases in the step, so it is finite if its last row
     # is; the rows are scanned only when that row is not.
     if not math.isfinite(analysis.second_order_partial(eta, config, config.n)):
@@ -431,16 +430,15 @@ def sweep(opts):
         raise ValidationError("no grid given; pass --grid at least once")
     if len(grids) > 2:
         raise ValidationError("at most two grid parameters are supported")
-    parsed = [_parse_grid(g) for g in grids]
-    names = [name for name, _ in parsed]
-    if len(set(names)) != len(names):
-        raise ValidationError(f"duplicate grid parameter {names[0]!r}")
-    total = math.prod(len(values) for _, values in parsed)
+    grid = dict(map(_parse_grid, grids))  # name -> its sorted values
+    if len(grid) != len(grids):
+        raise ValidationError(f"duplicate grid parameter {next(iter(grid))!r}")
+    total = math.prod(map(len, grid.values()))
     if total > SWEEP_POINT_CAP:
         raise CapacityError(f"grid has {total} points, above the cap of {SWEEP_POINT_CAP}")
 
     fields = opts.schedule()
-    for name in names:
+    for name in grid:
         if opts.given(name) or name in fields:
             raise ValidationError(f"{name} is swept by --grid and also given; give it once")
     if fields.get("type") == "constant":
@@ -458,10 +456,10 @@ def sweep(opts):
         return schedule, regime
 
     # The grid's own values replace these in each point's config.
-    base = {k: opts[k] for k in CONFIG_FIELDS if k not in names}
+    base = {k: opts[k] for k in CONFIG_FIELDS if k not in grid}
     rows = []
-    for combo in itertools.product(*(values for _, values in parsed)):
-        point = tuple(zip(names, combo))
+    for combo in itertools.product(*grid.values()):
+        point = tuple(zip(grid, combo))
         config = EvolutionConfig(**base, **{k: v for k, v in point if k in CONFIG_FIELDS})
         swept = tuple((k, v) for k, v in point if k not in CONFIG_FIELDS)
         schedule, regime = schedule_for(swept)

@@ -38,11 +38,7 @@ def propagate_projected(
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    # The coefficients are properties (two of them call cmath.exp); read
-    # them once rather than on every step.
-    return _projected_survival(
-        (U.c_eq_0, U.c_neq_0, U.c_neq_1, U.c_eq_1), realize(schedule, n)
-    )
+    return _projected_survival(U.coefficients, realize(schedule, n))
 
 
 def _projected_survival(
@@ -112,6 +108,4 @@ def enumerate_branches(
             f"branch oracle sums 2^n words; n = {n} exceeds the "
             f"cap of {ORACLE_MAX_STEPS}"
         )
-    return abs(_branch_amplitude(
-        (U.c_eq_0, U.c_neq_0, U.c_neq_1, U.c_eq_1), tuple(realize(schedule, n))
-    )) ** 2
+    return abs(_branch_amplitude(U.coefficients, tuple(realize(schedule, n)))) ** 2

@@ -24,15 +24,21 @@ from .errors import ValidationError, require_read
 _MODULUS_SLACK = 1e-12
 
 
+def _check_overlap(name: str, z: complex) -> None:
+    """Refuse an overlap that is not finite or whose modulus exceeds 1 by
+    more than the rounding slack; name says which overlap it is."""
+    if not cmath.isfinite(z):
+        raise ValidationError(f"{name} must be finite, got {z}")
+    if abs(z) > 1.0 + _MODULUS_SLACK:
+        raise ValidationError(f"{name} has modulus {abs(z):.6g} > 1")
+
+
 @dataclass(frozen=True)
 class ConstantOverlap:
     eta: complex
 
     def __post_init__(self):
-        if not cmath.isfinite(self.eta):
-            raise ValidationError(f"eta must be finite, got {self.eta}")
-        if abs(self.eta) > 1.0 + _MODULUS_SLACK:
-            raise ValidationError(f"|eta| = {abs(self.eta):.6g} exceeds 1")
+        _check_overlap("eta", self.eta)
 
 
 @dataclass(frozen=True)
@@ -67,10 +73,7 @@ class ExplicitOverlaps:
     def __post_init__(self):
         object.__setattr__(self, "overlaps", tuple(complex(o) for o in self.overlaps))
         for i, o in enumerate(self.overlaps):
-            if not cmath.isfinite(o):
-                raise ValidationError(f"overlap {i} is not finite: {o}")
-            if abs(o) > 1.0 + _MODULUS_SLACK:
-                raise ValidationError(f"overlap {i} has modulus {abs(o):.6g} > 1")
+            _check_overlap(f"overlap {i}", o)
 
 
 OverlapSchedule = Union[ConstantOverlap, PowerLawOverlap, ExponentialOverlap, ExplicitOverlaps]

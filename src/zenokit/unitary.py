@@ -53,13 +53,15 @@ class FreeEvolutionUnitary:
     def c_eq_1(self) -> complex:
         return cmath.exp(1j * self.phi) * self.a.conjugate()
 
+    @property
+    def coefficients(self) -> tuple[complex, complex, complex, complex]:
+        """(c_eq_0, c_neq_0, c_neq_1, c_eq_1): the step matrix's entries, row by row."""
+        return (self.c_eq_0, self.c_neq_0, self.c_neq_1, self.c_eq_1)
+
     def matrix(self) -> np.ndarray:
         import numpy as np
 
-        return np.array(
-            [[self.c_eq_0, self.c_neq_0], [self.c_neq_1, self.c_eq_1]],
-            dtype=complex,
-        )
+        return np.array(self.coefficients, dtype=complex).reshape(2, 2)
 
 
 def make_rabi_unitary(omega: float, delta: float) -> FreeEvolutionUnitary:
@@ -102,10 +104,10 @@ class EvolutionConfig:
         if not (math.isfinite(self.omega) and self.omega >= 0):
             raise ValidationError(f"omega must be finite and >= 0, got {self.omega}")
         try:
-            v_delta2 = self.V * self.delta**2
+            vd2 = self.vd2
         except OverflowError:  # float ** raises where * gives inf
-            v_delta2 = math.inf
-        if not math.isfinite(v_delta2):
+            vd2 = math.inf
+        if not math.isfinite(vd2):
             raise ValidationError(
                 f"omega = {self.omega!r} and T = {self.T!r} put V = omega^2 or "
                 "V*delta^2 beyond the float range"
@@ -118,6 +120,11 @@ class EvolutionConfig:
     @property
     def delta(self) -> float:
         return self.T / self.n
+
+    @property
+    def vd2(self) -> float:
+        """The step weight V*delta^2 of the second order 1 - 2*S*V*delta^2."""
+        return self.V * self.delta**2
 
     def step_unitary(self) -> FreeEvolutionUnitary:
         return make_rabi_unitary(self.omega, self.delta)

@@ -31,7 +31,6 @@ from zenokit import (
     free_particle_variance,
     gaussian_model_schedule,
     intermediate_coefficient,
-    limit_pn,
     make_general_unitary,
     make_rabi_unitary,
     numeric_limit_probe,
@@ -193,7 +192,7 @@ def test_criterion_6_physical_models():
             assert classify_schedule(sched).label is Regime.FREE_EVOLUTION
 
     limits = [
-        limit_pn(brownian_schedule(BrownianModelParams(D=d, T=1.0)), V=1.0, T=0.5)
+        classify_schedule(brownian_schedule(BrownianModelParams(D=d, T=1.0))).limit_p(V=1.0, T=0.5)
         for d in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
     ]
     ks = [(1 - lim) / 0.25 for lim in limits]

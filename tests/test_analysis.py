@@ -16,7 +16,6 @@ from zenokit import (
     classify_schedule,
     criterion_value,
     intermediate_coefficient,
-    limit_pn,
     numeric_limit_probe,
     second_order_with_criterion,
     zeno_sum,
@@ -252,18 +251,18 @@ class TestClassify:
 
 class TestLimitPn:
     def test_constant_below_one_freezes(self):
-        assert limit_pn(ConstantOverlap(eta=0.3), V=1.0, T=1.0) == 1.0
+        assert classify_schedule(ConstantOverlap(eta=0.3)).limit_p(V=1.0, T=1.0) == 1.0
 
     def test_fast_decay_recovers_free_evolution(self):
-        assert limit_pn(PowerLawOverlap(alpha=1, beta=2), V=1.0, T=0.5) == 0.75
+        assert classify_schedule(PowerLawOverlap(alpha=1, beta=2)).limit_p(V=1.0, T=0.5) == 0.75
 
     def test_weak_intermediate_tends_to_free_evolution(self):
-        lim = limit_pn(PowerLawOverlap(alpha=1e-8, beta=1), V=1.0, T=1.0)
+        lim = classify_schedule(PowerLawOverlap(alpha=1e-8, beta=1)).limit_p(V=1.0, T=1.0)
         assert lim == pytest.approx(0.0, abs=1e-7)  # 1 - k(alpha)*V*T^2, k -> 1
 
     def test_explicit_rejected(self):
         with pytest.raises(ValidationError):
-            limit_pn(ExplicitOverlaps(overlaps=(0.5,)), V=1.0, T=1.0)
+            classify_schedule(ExplicitOverlaps(overlaps=(0.5,))).limit_p(V=1.0, T=1.0)
 
 
 class TestNumericProbe:

@@ -341,6 +341,26 @@ class TestSimulate:
         assert "error: survival is not finite at step 3" in r.output
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_is_not_created_when_first_chunk_fails(self, runner, monkeypatch,
+                                                          tmp_path, fmt):
+        original = analysis.second_order_series
+
+        def with_nan(eta, config):
+            values = list(original(eta, config))
+            values[2] = math.nan
+            return values
+
+        monkeypatch.setattr(analysis, "second_order_series", with_nan)
+        out = tmp_path / f"out.{fmt}"
+        r = invoke(
+            runner, "simulate", "--omega", "1", "--T", "1", "--n", "5",
+            "--eta", "0.5", "--format", fmt, "--output", str(out),
+        )
+        assert r.exit_code == 2
+        assert "error: survival is not finite at step 3" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_fault_after_rows_went_out_names_its_step(self, runner, monkeypatch, fmt):
         original = analysis.second_order_series
 
@@ -573,6 +593,21 @@ class TestInvalidInput:
     )
     def test_unread_schedule_flag_exit_code(self, runner, args, message):
         r = invoke(runner, *args)
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert f"error: {message}" in r.output
+
+    @pytest.mark.parametrize(
+        "grids,message",
+        [
+            (("overlaps=0.5",),
+             "cannot sweep 'overlaps'; choose from omega, T, n, eta, alpha, beta"),
+            (("eta=0.5", "eta=0.6"), "duplicate grid parameter 'eta'"),
+            (("eta=0.5", "omega=1", "T=1"), "at most two grid parameters are supported"),
+        ],
+    )
+    def test_refused_grid_exit_code(self, runner, grids, message):
+        r = invoke(runner, "sweep", *(x for g in grids for x in ("--grid", g)))
         assert r.exit_code == 2
         assert r.stdout == ""
         assert f"error: {message}" in r.output

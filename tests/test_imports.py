@@ -68,6 +68,7 @@ def numpy_loaded(*args):
     ["simulate", "--omega", "0.7", "--T", "0.9", "--n", "20", "--eta", "0.5", "--oracle"],
     ["classify", "--schedule", "constant", "--eta", "0.5"],
     ["physical", "free-particle", "--m", "1e-26", "--sigma", "1e-10"],
+    ["sweep", "--grid", "eta=0.5,0.9", "--omega", "0.5", "--T", "0.5", "--n", "100"],
 ])
 def test_numpy_is_not_loaded(args):
     assert numpy_loaded(*args) == {
@@ -78,6 +79,13 @@ def test_numpy_is_loaded_by_the_direct_sum():
     # the control: at eta = 1 the second order takes the numpy direct sum
     loaded = numpy_loaded("simulate", "--omega", "0.7", "--T", "0.9", "--eta", "1",
                           "--n", "1000")
+    assert loaded == {
+        "import zenokit": False, "import zenokit.cli": False, "exit": 0, "main": True}
+
+
+def test_numpy_is_loaded_by_a_lin_grid():
+    # the control: a lin: or geom: grid is spaced by numpy
+    loaded = numpy_loaded("sweep", "--grid", "omega=lin:0.1:0.9:3", "--n", "10")
     assert loaded == {
         "import zenokit": False, "import zenokit.cli": False, "exit": 0, "main": True}
 

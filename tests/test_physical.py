@@ -15,7 +15,6 @@ from zenokit import (
     free_particle_variance,
     gaussian_model_schedule,
     gaussian_pointer_overlap,
-    limit_pn,
     quadratic_validity_time,
 )
 
@@ -154,7 +153,8 @@ class TestBrownian:
             for d in ds
         ]
         limits = [
-            limit_pn(brownian_schedule(BrownianModelParams(D=d, T=1.0)), V=1.0, T=0.5)
+            classify_schedule(brownian_schedule(BrownianModelParams(D=d, T=1.0)))
+            .limit_p(V=1.0, T=0.5)
             for d in ds
         ]
         assert all(a > b for a, b in zip(ks, ks[1:]))

@@ -105,6 +105,18 @@ def test_explicit_rejects_large_modulus():
         ExplicitOverlaps(overlaps=(0.5, 1.2))
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: ExplicitOverlaps(overlaps=(0.5, math.nan)), "overlap 1 must be finite"),
+        (lambda: ConstantOverlap(eta=1.5), "eta has modulus 1.5 > 1"),
+    ],
+)
+def test_overlap_refusal_wording(build, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build()
+
+
 def test_explicit_family_eta_is_mean_modulus():
     sched = ExplicitOverlaps(overlaps=(1.0, 0.0, 0.5j))
     assert family_eta(sched, 3) == pytest.approx(0.5)

@@ -126,3 +126,15 @@ class TestEvolutionConfig:
             warnings.simplefilter("error")
             cfg = EvolutionConfig(omega=10.0, T=1.0, n=2)
         assert cfg.V * cfg.delta**2 == 25.0
+
+    @given(st.floats(0.0, 1e3), st.floats(1e-3, 1e3), st.integers(1, 10**6))
+    def test_vd2_is_the_step_weight(self, omega, t_total, n):
+        cfg = EvolutionConfig(omega=omega, T=t_total, n=n)
+        assert cfg.vd2 == cfg.V * cfg.delta**2
+
+
+@given(st.complex_numbers(max_magnitude=1.0, allow_nan=False), st.floats(-4.0, 4.0))
+def test_coefficients_are_the_matrix_rows(z, phi):
+    u = make_general_unitary(z, math.sqrt(max(0.0, 1.0 - abs(z) ** 2)), phi)
+    assert u.coefficients == (u.c_eq_0, u.c_neq_0, u.c_neq_1, u.c_eq_1)
+    assert u.matrix().tolist() == [[u.c_eq_0, u.c_neq_0], [u.c_neq_1, u.c_eq_1]]
