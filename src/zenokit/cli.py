@@ -248,7 +248,7 @@ def simulate(opts):
     step = config.step_unitary()
     p_exact = evolution.propagate_projected(step, schedule, config.n)
     eta = family_eta(schedule, config.n)
-    criterion = analysis.second_order_with_criterion(eta, config)[1]
+    p_last, criterion = analysis.second_order_with_criterion(eta, config)
     p_second = analysis.second_order_series(eta, config)
     p_oracle = evolution.enumerate_branches(step, schedule, config.n) if oracle else None
     run = f"for omega = {config.omega!r}, T = {config.T!r}, n = {config.n}"
@@ -257,7 +257,7 @@ def simulate(opts):
     # rounding can both make the chain's norm grow past 1. The second-order
     # column never increases in the step, so it is finite if its last row
     # is; the rows are scanned only when that row is not.
-    if not math.isfinite(analysis.second_order_partial(eta, config, config.n)):
+    if not math.isfinite(p_last):
         _require_finite(analysis.second_order_series(eta, config),
                         lambda i: f"at step {i + 1} {run}")
     _require_finite([criterion, *([p_oracle] if oracle else [])],

@@ -5,8 +5,9 @@ The step matrix is parametrized as
     [[ a,                 b               ],
      [ -e^{i phi} conj(b), e^{i phi} conj(a) ]]
 
-so its entries double as the step coefficients: c_eq_0 (stay in 0),
-c_neq_0 (enter 0 from 1), c_neq_1 (enter 1 from 0), c_eq_1 (stay in 1).
+so its entries, row by row, are the step coefficients that
+FreeEvolutionUnitary.coefficients gives: c_eq_0 (stay in 0), c_neq_0
+(enter 0 from 1), c_neq_1 (enter 1 from 0), c_eq_1 (stay in 1).
 """
 
 from __future__ import annotations
@@ -38,25 +39,11 @@ class FreeEvolutionUnitary:
             )
 
     @property
-    def c_eq_0(self) -> complex:
-        return self.a
-
-    @property
-    def c_neq_0(self) -> complex:
-        return self.b
-
-    @property
-    def c_neq_1(self) -> complex:
-        return -cmath.exp(1j * self.phi) * self.b.conjugate()
-
-    @property
-    def c_eq_1(self) -> complex:
-        return cmath.exp(1j * self.phi) * self.a.conjugate()
-
-    @property
     def coefficients(self) -> tuple[complex, complex, complex, complex]:
         """(c_eq_0, c_neq_0, c_neq_1, c_eq_1): the step matrix's entries, row by row."""
-        return (self.c_eq_0, self.c_neq_0, self.c_neq_1, self.c_eq_1)
+        a, b = self.a, self.b
+        phase = cmath.exp(1j * self.phi)
+        return (a, b, -phase * b.conjugate(), phase * a.conjugate())
 
     def matrix(self) -> np.ndarray:
         import numpy as np

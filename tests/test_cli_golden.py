@@ -23,6 +23,16 @@ from 0.6981365589044951 to 0.6981365589044949 and its oracle_abs_gap
 from 4.4e-16 to 2.2e-16, nearer the 50-digit mpmath chain's
 0.698136558904494726; no other row changed. The oracle's cap went from
 20 to 32 steps then, and simulate-oracle-cap-exit-3 from n = 21 to 33.
+The digests of classify-exponential-json and sweep-power-law-json were
+re-recorded when the weighted tail within 1e-4 of eta = 1 moved from a
+correctly rounded direct sum to an O(1) formula that is within about 2
+eps: each moved value went one ulp off the 60-digit value. In the sweep,
+p_second_order and criterion at n = 1024 (0.00039051043685023323 to
+0.00039051043685034426, 0.4993164635315749 to 0.49931646353157483) and at
+n = 4096 (9.764909547271827e-05 to 9.76490954728293e-05,
+0.49982910513976364 to 0.4998291051397636); in classify, the probe's
+n = 64 diagnostic (0.49218749995123195 to 0.492187499951232). No other
+line changed.
 """
 
 import hashlib
@@ -84,7 +94,7 @@ CASES = {
 
 GOLDEN = {
     "classify-constant-json": (0, "86e2cf3792f6d897c703a952d4682f881838e1afa34835f413452b06ffebc198"),
-    "classify-exponential-json": (0, "2022fa613d7f333cf3499a7687016448ebfe34c892fc1a66a165180fe44c67d4"),
+    "classify-exponential-json": (0, "c14fb305e5ef3570e29dfd32d40d9c20d7ab241efd286d1e913fc9bc08717faf"),
     "classify-power-law-csv": (0, "049d3e1d0014379999bbfe78f22f653ab990dd025dce1e9e17d40675436d2015"),
     "physical-brownian-json": (0, "8652853dfedf6b10b0e0aad301f40ed4fe9d30237e27dc8b68846c8efdd9b6b8"),
     "physical-free-particle-json": (0, "7055596a6638be70ec19f2d2c42d504c60364884cb16687764f70d1159113647"),
@@ -106,7 +116,7 @@ GOLDEN = {
     "sweep-config-explicit-csv": (0, "4ac5ae7314c37d6cd99c8c1463c67a3eb9d5322c92cc8d6154f0dc65a5a267d5"),
     "sweep-constant-csv": (0, "ea833a4c88f9080e40696c7aaf6c9357028b9f2479e7b4a88fb4dbb41297c7f2"),
     "sweep-output-json": (0, "42964d490826519aaa2b69dce5d775e7c162f3816740ed37203659bf59af4198"),
-    "sweep-power-law-json": (0, "698435ac475662114ddaffe5485c6c7ca19eceba5b6f543a9dff1b910197d706"),
+    "sweep-power-law-json": (0, "f463051b8a5c6fdada9aa34d8f7045eb5b5200404166d4ce98384f5deec04872"),
 }
 
 

@@ -69,18 +69,14 @@ def numpy_loaded(*args):
     ["classify", "--schedule", "constant", "--eta", "0.5"],
     ["physical", "free-particle", "--m", "1e-26", "--sigma", "1e-10"],
     ["sweep", "--grid", "eta=0.5,0.9", "--omega", "0.5", "--T", "0.5", "--n", "100"],
+    # the second order near eta = 1, in the run and in the numeric probe
+    ["simulate", "--omega", "0.7", "--T", "0.9", "--eta", "1", "--n", "1000"],
+    ["classify", "--schedule", "power-law", "--alpha", "1", "--beta", "1"],
+    ["classify", "--schedule", "exponential", "--alpha", "0.7", "--beta", "0.3"],
 ])
 def test_numpy_is_not_loaded(args):
     assert numpy_loaded(*args) == {
         "import zenokit": False, "import zenokit.cli": False, "exit": 0, "main": False}
-
-
-def test_numpy_is_loaded_by_the_direct_sum():
-    # the control: at eta = 1 the second order takes the numpy direct sum
-    loaded = numpy_loaded("simulate", "--omega", "0.7", "--T", "0.9", "--eta", "1",
-                          "--n", "1000")
-    assert loaded == {
-        "import zenokit": False, "import zenokit.cli": False, "exit": 0, "main": True}
 
 
 def test_numpy_is_loaded_by_a_lin_grid():

@@ -129,9 +129,10 @@ class TestConsistencyWithProjectedChain:
         joint = np.zeros(4, dtype=complex)
         e0 = np.array([1.0, 0.0])
         e1 = np.array([eta, math.sqrt(1 - eta**2)])
+        c_eq_0, _, c_neq_1, _ = u.coefficients
         for e in (0, 1):
-            joint[0 + 2 * e] += u.c_eq_0 * e0[e]
-            joint[1 + 2 * e] += u.c_neq_1 * e1[e]
+            joint[0 + 2 * e] += c_eq_0 * e0[e]
+            joint[1 + 2 * e] += c_neq_1 * e1[e]
         # project onto <0, E_0|
         amp = joint[0] * np.conj(e0[0]) + joint[2] * np.conj(e0[1])
         p_register = abs(amp) ** 2

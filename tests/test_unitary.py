@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -73,7 +74,7 @@ def test_rabi_cross_term_is_real_nonpositive():
     # conj(a)^2 * b * c_neq_1 = -cos^2 * sin^2 exactly for this realization
     for theta in (0.0, 0.1, 0.5, 1.3):
         u = make_rabi_unitary(1.0, theta)
-        cross = u.a.conjugate() ** 2 * u.b * u.c_neq_1
+        cross = u.a.conjugate() ** 2 * u.b * u.coefficients[2]
         assert cross.imag == 0.0
         assert cross.real <= 0.0
         assert cross.real == pytest.approx(
@@ -136,5 +137,7 @@ class TestEvolutionConfig:
 @given(st.complex_numbers(max_magnitude=1.0, allow_nan=False), st.floats(-4.0, 4.0))
 def test_coefficients_are_the_matrix_rows(z, phi):
     u = make_general_unitary(z, math.sqrt(max(0.0, 1.0 - abs(z) ** 2)), phi)
-    assert u.coefficients == (u.c_eq_0, u.c_neq_0, u.c_neq_1, u.c_eq_1)
-    assert u.matrix().tolist() == [[u.c_eq_0, u.c_neq_0], [u.c_neq_1, u.c_eq_1]]
+    phase = cmath.exp(1j * u.phi)
+    c = u.coefficients
+    assert c == (u.a, u.b, -phase * u.b.conjugate(), phase * u.a.conjugate())
+    assert u.matrix().tolist() == [[c[0], c[1]], [c[2], c[3]]]
