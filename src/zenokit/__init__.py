@@ -42,8 +42,7 @@ from .unitary import (
 
 __version__ = "0.1.0"
 
-# register computes with numpy, which the rest of the package loads only in
-# the runs that need it; its names load it on first access (PEP 562).
+# register alone imports numpy; its names load it on first access (PEP 562).
 _REGISTER_NAMES = (
     "DensityMatrix2",
     "QubitRegister",

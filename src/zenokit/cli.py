@@ -379,6 +379,14 @@ def _grid_number(text, name, kind=float):
     return value
 
 
+def _linspace(start, stop, count):
+    """count values from start to stop, i*step + start, the last set to stop."""
+    div, delta = max(count - 1, 1), stop - start
+    step = delta / div  # 0 for an empty or subnormal span: then divide first
+    values = [(i * step if step else i / div * delta) + start for i in range(count)]
+    return values[:-1] + [stop] if count > 1 else values
+
+
 def _parse_grid(spec):
     if "=" not in spec:
         raise ValidationError(f"grid must look like param=values, got {spec!r}")
@@ -399,13 +407,16 @@ def _parse_grid(spec):
             raise CapacityError(
                 f"grid for {name} has {count} points, above the cap of {SWEEP_POINT_CAP}"
             )
-        if scheme == "geom" and (start <= 0 or stop <= 0):
+        if scheme == "lin":
+            values = _linspace(start, stop, count)
+        elif start <= 0 or stop <= 0:
             raise ValidationError("geom grid endpoints must be positive")
-        import numpy as np
-
-        with np.errstate(all="ignore"):  # a range beyond the floats is refused below
-            space = np.linspace if scheme == "lin" else np.geomspace
-            values = space(start, stop, count).tolist()
+        else:  # the exponents spaced alike, the endpoints kept exact
+            inner = _linspace(math.log10(start), math.log10(stop), count)[1:-1]
+            try:
+                values = [start, *(10.0**x for x in inner), stop][:count]
+            except OverflowError:  # 10^x past the float max: refused below
+                values = [math.inf]
     else:
         values = [_grid_number(v, name) for v in body.split(",") if v.strip()]
     if not values:

@@ -82,15 +82,14 @@ OverlapSchedule = Union[ConstantOverlap, PowerLawOverlap, ExponentialOverlap, Ex
 def family_eta(schedule: OverlapSchedule, n: int) -> float:
     """The shared real overlap a family schedule realizes for an n-step run.
 
-    For an explicit schedule there is no single eta; the mean modulus,
-    capped at 1 (each modulus may exceed 1 by the rounding slack that
-    ExplicitOverlaps admits), is returned as a representative value for
-    second-order comparisons.
+    An explicit schedule has no single eta; its mean modulus stands in for
+    it in second-order comparisons. That mean and a constant's modulus are
+    capped at 1, since _check_overlap admits moduli up to 1 + 1e-12.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if isinstance(schedule, ConstantOverlap):
-        return abs(schedule.eta)
+        return min(abs(schedule.eta), 1.0)
     if isinstance(schedule, PowerLawOverlap):
         try:
             decay = schedule.alpha / n**schedule.beta

@@ -15,12 +15,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ROW_NORM_TOL = 1e-9
 
@@ -44,11 +40,6 @@ class FreeEvolutionUnitary:
         a, b = self.a, self.b
         phase = cmath.exp(1j * self.phi)
         return (a, b, -phase * b.conjugate(), phase * a.conjugate())
-
-    def matrix(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.coefficients, dtype=complex).reshape(2, 2)
 
 
 def make_rabi_unitary(omega: float, delta: float) -> FreeEvolutionUnitary:

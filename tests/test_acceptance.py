@@ -86,7 +86,8 @@ def test_criterion_2_limiting_cases():
         cfg = EvolutionConfig(omega=omega, T=T, n=n)
         u = cfg.step_unitary()
         p1 = list(propagate_projected(u, ConstantOverlap(eta=1.0), n))[-1]
-        direct = abs(np.linalg.matrix_power(u.matrix(), n)[0, 0]) ** 2
+        m = np.array(u.coefficients).reshape(2, 2)
+        direct = abs(np.linalg.matrix_power(m, n)[0, 0]) ** 2
         assert abs(p1 - direct) <= 1e-12
         p0 = list(propagate_projected(u, ConstantOverlap(eta=0.0), n))[-1]
         assert abs(p0 - abs(u.a) ** (2 * n)) <= 1e-12

@@ -73,15 +73,18 @@ def numpy_loaded(*args):
     ["simulate", "--omega", "0.7", "--T", "0.9", "--eta", "1", "--n", "1000"],
     ["classify", "--schedule", "power-law", "--alpha", "1", "--beta", "1"],
     ["classify", "--schedule", "exponential", "--alpha", "0.7", "--beta", "0.3"],
+    # grids spaced in pure Python
+    ["sweep", "--grid", "omega=lin:0.1:0.9:3", "--n", "10"],
+    ["sweep", "--grid", "n=geom:16:65536:13", "--omega", "0.5", "--T", "0.5", "--eta", "0.9"],
 ])
 def test_numpy_is_not_loaded(args):
     assert numpy_loaded(*args) == {
         "import zenokit": False, "import zenokit.cli": False, "exit": 0, "main": False}
 
 
-def test_numpy_is_loaded_by_a_lin_grid():
-    # the control: a lin: or geom: grid is spaced by numpy
-    loaded = numpy_loaded("sweep", "--grid", "omega=lin:0.1:0.9:3", "--n", "10")
+def test_numpy_is_loaded_by_recohere():
+    # the control: recohere computes with register, which imports numpy
+    loaded = numpy_loaded("recohere")
     assert loaded == {
         "import zenokit": False, "import zenokit.cli": False, "exit": 0, "main": True}
 
