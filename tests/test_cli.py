@@ -625,49 +625,6 @@ class TestInvalidInput:
         assert r.stdout == ""
         assert f"error: {message}" in r.output
 
-    @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.integers(1, 300))
-    @example(0.3, 0.7, 1)
-    @example(2.5, 2.5, 4)
-    @example(1.0, -3.0, 7)
-    @example(0.0, 1e-323, 3)  # the step underflows to 0
-    @example(-1e308, 1e308, 3)  # the span overflows
-    def test_lin_grid_is_numpy_linspace(self, start, stop, count):
-        with np.errstate(all="ignore"):
-            expected = np.linspace(start, stop, count).tolist()
-        assert list(map(repr, cli._linspace(start, stop, count))) == list(map(repr, expected))
-
-    @settings(deadline=None)
-    @given(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300), st.integers(1, 300))
-    @example(1.0, sys.float_info.max, 3)
-    @example(5e-324, 1.0, 5)
-    @example(0.3333333333333333, 6.129581779572892e16, 46)  # the log10s differ
-    def test_geom_grid_matches_numpy_geomspace(self, start, stop, count):
-        # The exponents are spaced as numpy.linspace spaces them, but from
-        # math.log10 of the endpoints, which may differ from numpy.log10 by an
-        # ulp; that moves 10^x by a factor of up to 10^gap. Where the two
-        # log10s agree, only 10^x (libm's pow, numpy's power) differs, by an ulp.
-        _, values = cli._parse_grid(f"omega=geom:{start!r}:{stop!r}:{count}")
-        with np.errstate(all="ignore"):
-            expected = sorted(set(np.geomspace(start, stop, count).tolist()))
-            their_exponents = np.linspace(np.log10(start), np.log10(stop), count).tolist()
-        assert start in values and (stop in values or count == 1)
-        gap = max(map(abs, map(operator.sub, their_exponents, cli._linspace(
-            math.log10(start), math.log10(stop), count))))
-
-        def near(x, y):
-            if gap == 0:
-                return abs(x - y) <= math.ulp(y)
-            return abs(x - y) <= y * math.expm1(math.log(10) * gap) + 2 * math.ulp(y)
-
-        for ours, theirs in ((values, expected), (expected, values)):
-            assert all(any(near(x, y) for y in theirs) for x in ours)
-
-    def test_geom_grid_to_the_largest_float_runs(self, runner):
-        r = invoke(runner, "sweep", "--grid", f"beta=geom:1e-300:{sys.float_info.max!r}:3",
-                   "--schedule", "power-law", "--alpha", "1", "--n", "4")
-        assert r.exit_code == 0, r.output
-        assert len(r.stdout.splitlines()) == 4
-
     def test_grid_count_is_capped_before_it_is_built(self, runner):
         r = invoke(runner, "sweep", "--grid", "eta=lin:0:1:1000000000")
         assert r.exit_code == 3
@@ -872,6 +829,49 @@ class TestSweep:
             "--grid", "T=lin:0.1:1:2000", "--n", "5",
         )
         assert r.exit_code == 3
+
+    @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.integers(1, 300))
+    @example(0.3, 0.7, 1)
+    @example(2.5, 2.5, 4)
+    @example(1.0, -3.0, 7)
+    @example(0.0, 1e-323, 3)  # the step underflows to 0
+    @example(-1e308, 1e308, 3)  # the span overflows
+    def test_lin_grid_is_numpy_linspace(self, start, stop, count):
+        with np.errstate(all="ignore"):
+            expected = np.linspace(start, stop, count).tolist()
+        assert list(map(repr, cli._linspace(start, stop, count))) == list(map(repr, expected))
+
+    @settings(deadline=None)
+    @given(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300), st.integers(1, 300))
+    @example(1.0, sys.float_info.max, 3)
+    @example(5e-324, 1.0, 5)
+    @example(0.3333333333333333, 6.129581779572892e16, 46)  # the log10s differ
+    def test_geom_grid_matches_numpy_geomspace(self, start, stop, count):
+        # The exponents are spaced as numpy.linspace spaces them, but from
+        # math.log10 of the endpoints, which may differ from numpy.log10 by an
+        # ulp; that moves 10^x by a factor of up to 10^gap. Where the two
+        # log10s agree, only 10^x (libm's pow, numpy's power) differs, by an ulp.
+        _, values = cli._parse_grid(f"omega=geom:{start!r}:{stop!r}:{count}")
+        with np.errstate(all="ignore"):
+            expected = sorted(set(np.geomspace(start, stop, count).tolist()))
+            their_exponents = np.linspace(np.log10(start), np.log10(stop), count).tolist()
+        assert start in values and (stop in values or count == 1)
+        gap = max(map(abs, map(operator.sub, their_exponents, cli._linspace(
+            math.log10(start), math.log10(stop), count))))
+
+        def near(x, y):
+            if gap == 0:
+                return abs(x - y) <= math.ulp(y)
+            return abs(x - y) <= y * math.expm1(math.log(10) * gap) + 2 * math.ulp(y)
+
+        for ours, theirs in ((values, expected), (expected, values)):
+            assert all(any(near(x, y) for y in theirs) for x in ours)
+
+    def test_geom_grid_to_the_largest_float_runs(self, runner):
+        r = invoke(runner, "sweep", "--grid", f"beta=geom:1e-300:{sys.float_info.max!r}:3",
+                   "--schedule", "power-law", "--alpha", "1", "--n", "4")
+        assert r.exit_code == 0, r.output
+        assert len(r.stdout.splitlines()) == 4
 
     @pytest.fixture
     def builds(self, monkeypatch):
