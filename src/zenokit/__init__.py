@@ -22,6 +22,13 @@ from .physical import (
     gaussian_pointer_overlap,
     quadratic_validity_time,
 )
+from .register import (
+    DensityMatrix2,
+    QubitRegister,
+    apply_cnot,
+    partial_trace_to_system,
+    recoherence_demo,
+)
 from .schedules import (
     ConstantOverlap,
     ExplicitOverlaps,
@@ -41,26 +48,3 @@ from .unitary import (
 )
 
 __version__ = "0.1.0"
-
-# register alone imports numpy; its names load it on first access (PEP 562).
-_REGISTER_NAMES = (
-    "DensityMatrix2",
-    "QubitRegister",
-    "apply_cnot",
-    "partial_trace_to_system",
-    "recoherence_demo",
-)
-# `from zenokit import *` binds them too, and so loads register.
-__all__ = [name for name in globals() if not name.startswith("_")] + list(_REGISTER_NAMES)
-
-
-def __getattr__(name):
-    if name in _REGISTER_NAMES:
-        from . import register
-
-        return getattr(register, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted({*globals(), *_REGISTER_NAMES})

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import click
 
-from . import analysis, evolution, physical
+from . import analysis, evolution, physical, register
 from .errors import CapacityError, UnclassifiableScheduleError, ValidationError, require_read
 from .schedules import SCHEDULE_TYPES, family_eta, schedule_from_dict, schedule_to_dict
 from .unitary import EvolutionConfig
@@ -156,17 +156,18 @@ def _takes(*names, **defaults):
     def decorate(fn):
         @functools.wraps(fn)
         def run(**flags):
-            show, warnings.showwarning = warnings.showwarning, _show_warning
-            try:
-                config = _read_config(flags.pop("config", None), names)
-                output = flags.pop("output")
-                flags = {k: v for k, v in flags.items() if v is not None and v != ()}
-                _emit(fn(Options(flags, config, defaults)), output)
-            except (CapacityError, ValidationError, Warning) as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(3 if isinstance(exc, CapacityError) else 2)
-            finally:
-                warnings.showwarning = show
+            # entering also clears the record of warnings already shown, so
+            # each invocation shows its own
+            with warnings.catch_warnings():
+                warnings.showwarning = _show_warning
+                try:
+                    config = _read_config(flags.pop("config", None), names)
+                    output = flags.pop("output")
+                    flags = {k: v for k, v in flags.items() if v is not None and v != ()}
+                    _emit(fn(Options(flags, config, defaults)), output)
+                except (CapacityError, ValidationError, Warning) as exc:
+                    click.echo(f"error: {exc}", err=True)
+                    sys.exit(3 if isinstance(exc, CapacityError) else 2)
 
         for name in reversed(names):
             param = PARAMS[name]
@@ -536,11 +537,9 @@ def physical_cmd(opts):
 @_takes("format", "output")
 def recohere(opts):
     """Decoherence/revival stages with a pre-entangled environment pair."""
-    from . import register
-
     stages = [
         {"stage": label,
-         "rho": [[[z.real, z.imag] for z in row] for row in rho.matrix.tolist()],
+         "rho": [[[z.real, z.imag] for z in row] for row in rho.matrix],
          "coherence": coherence}
         for label, rho, coherence in register.recoherence_demo()
     ]

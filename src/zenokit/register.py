@@ -8,9 +8,10 @@ amplitude index is the state of qubit j).
 
 from __future__ import annotations
 
+import contextlib
+import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -18,50 +19,62 @@ MAX_QUBITS = 12
 _TOL = 1e-12
 
 
+def _complex_tuple(values, what: str) -> tuple[complex, ...]:
+    """`values` as a tuple of complex, if it is a sequence of numbers."""
+    if not isinstance(values, (str, bytes)):
+        with contextlib.suppress(TypeError):
+            items = tuple(values)
+            if all(isinstance(z, numbers.Number) for z in items):
+                return tuple(map(complex, items))
+    raise ValidationError(f"{what} must be a sequence of numbers, got {values!r}")
+
+
 @dataclass(frozen=True)
 class QubitRegister:
     k: int
-    amplitudes: np.ndarray
+    amplitudes: tuple[complex, ...]
 
     def __post_init__(self):
         if not 1 <= self.k <= MAX_QUBITS:
             raise ValidationError(f"qubit count {self.k} outside 1..{MAX_QUBITS}")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.k,):
-            raise ValidationError(
-                f"expected {2**self.k} amplitudes, got shape {amps.shape}"
-            )
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > _TOL:
+        amps = _complex_tuple(self.amplitudes, "amplitudes")
+        if len(amps) != 2**self.k:
+            raise ValidationError(f"expected {2**self.k} amplitudes, got {len(amps)}")
+        norm = sum(abs(z) ** 2 for z in amps)
+        if not abs(norm - 1.0) <= _TOL:
             raise ValidationError(f"squared norm {norm!r} deviates from 1")
-        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
 
 @dataclass(frozen=True)
 class DensityMatrix2:
-    """2x2 reduced density matrix; validated Hermitian, unit trace, PSD."""
+    """2x2 reduced density matrix, read as matrix[i][j]; Hermitian, unit trace, PSD."""
 
-    matrix: np.ndarray
+    matrix: tuple[tuple[complex, complex], tuple[complex, complex]]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValidationError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if abs(m[1, 0] - np.conj(m[0, 1])) > _TOL:
+        try:
+            m = tuple(_complex_tuple(row, "a matrix row") for row in self.matrix)
+        except TypeError:
+            m = ()
+        if len(m) != 2 or any(len(row) != 2 for row in m):
+            raise ValidationError(f"expected a 2x2 matrix, got {self.matrix!r}")
+        (m00, m01), (m10, m11) = m
+        if abs(m10 - m01.conjugate()) > _TOL:
             raise ValidationError("matrix is not Hermitian")
-        if abs(m[0, 0].imag) > _TOL or abs(m[1, 1].imag) > _TOL:
+        if abs(m00.imag) > _TOL or abs(m11.imag) > _TOL:
             raise ValidationError("diagonal is not real")
-        if abs(np.trace(m).real - 1.0) > _TOL:
-            raise ValidationError(f"trace {np.trace(m)!r} deviates from 1")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -_TOL:
+        if not abs((m00 + m11).real - 1.0) <= _TOL:
+            raise ValidationError(f"trace {m00 + m11!r} deviates from 1")
+        # the smaller eigenvalue of the Hermitian part, in closed form
+        half_gap = math.hypot((m00.real - m11.real) / 2, abs(m01 + m10.conjugate()) / 2)
+        if not (m00.real + m11.real) / 2 - half_gap >= -_TOL:
             raise ValidationError("matrix has a negative eigenvalue")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
     def coherence(self) -> float:
-        return abs(self.matrix[0, 1])
+        return abs(self.matrix[0][1])
 
 
 def apply_cnot(state: QubitRegister, control: int, target: int) -> QubitRegister:
@@ -71,9 +84,9 @@ def apply_cnot(state: QubitRegister, control: int, target: int) -> QubitRegister
     for name, q in (("control", control), ("target", target)):
         if not 0 <= q < state.k:
             raise ValidationError(f"{name} qubit {q} outside 0..{state.k - 1}")
-    idx = np.arange(2**state.k)
-    flipped = np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
-    return QubitRegister(k=state.k, amplitudes=state.amplitudes[flipped].copy())
+    amps = state.amplitudes
+    flipped = (i ^ (1 << target) if i >> control & 1 else i for i in range(2**state.k))
+    return QubitRegister(k=state.k, amplitudes=tuple(amps[i] for i in flipped))
 
 
 def partial_trace_to_system(state: QubitRegister, system_index: int = 0) -> DensityMatrix2:
@@ -82,10 +95,12 @@ def partial_trace_to_system(state: QubitRegister, system_index: int = 0) -> Dens
         raise ValidationError("partial trace needs at least 2 qubits")
     if not 0 <= system_index < state.k:
         raise ValidationError(f"system qubit {system_index} outside 0..{state.k - 1}")
-    psi = state.amplitudes.reshape([2] * state.k)
-    # reshape is row-major, so axis (k-1-j) carries qubit j
-    psi = np.moveaxis(psi, state.k - 1 - system_index, 0).reshape(2, -1)
-    return DensityMatrix2(matrix=psi @ psi.conj().T)
+    # psi[s]: the amplitudes with the system qubit at s, in the others' order
+    psi = [[z for i, z in enumerate(state.amplitudes) if (i >> system_index & 1) == s]
+           for s in (0, 1)]
+    return DensityMatrix2(matrix=tuple(
+        tuple(sum(x * y.conjugate() for x, y in zip(row, col)) for col in psi)
+        for row in psi))
 
 
 def recoherence_demo() -> list[tuple[str, DensityMatrix2, float]]:
@@ -96,7 +111,7 @@ def recoherence_demo() -> list[tuple[str, DensityMatrix2, float]]:
     coherence. Returns (stage label, rho_S, |rho_01|) for all three
     stages.
     """
-    amps = np.zeros(8, dtype=complex)
+    amps = [0j] * 8
     # (|0> + |1>)/sqrt(2) on the system times (|00> + |11>)/sqrt(2) on
     # the environment pair; index = s + 2*e1 + 4*e2
     for s in (0, 1):

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,14 @@ class TestSimulate:
         assert r.stderr.startswith("error: V*delta^2 = 0.25 > 0.1")
         assert r.stderr.endswith("\n") and r.stderr.count("\n") == 1
         assert "Traceback" not in r.stderr
+
+    def test_each_invocation_shows_its_own_warning(self, runner):
+        # both runs warn from the same line of code, in one process
+        args = ("simulate", "--omega", "3", "--T", "1", "--n", "2", "--eta", "0.5")
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            results = [invoke(runner, *args) for _ in range(2)]
+        assert [r.stderr.startswith("warning: V*delta^2") for r in results] == [True, True]
 
     @pytest.mark.parametrize("eta", ["0.3", "0.93", "1"])
     def test_summary_equals_sweep(self, runner, eta):

@@ -1,4 +1,4 @@
-"""numpy stays off zenokit's start-up path: each test runs a fresh interpreter."""
+"""zenokit never loads numpy: each test runs a fresh interpreter."""
 
 import json
 import os
@@ -29,7 +29,7 @@ loaded["main"] = "numpy" in sys.modules
 sys.stderr.write(json.dumps(loaded))
 """
 
-LAZY_API_PROBE = f"""
+REGISTER_API_PROBE = f"""
 import sys
 import zenokit
 names = {REGISTER_NAMES!r}
@@ -76,19 +76,14 @@ def numpy_loaded(*args):
     # grids spaced in pure Python
     ["sweep", "--grid", "omega=lin:0.1:0.9:3", "--n", "10"],
     ["sweep", "--grid", "n=geom:16:65536:13", "--omega", "0.5", "--T", "0.5", "--eta", "0.9"],
+    # the register, in pure Python
+    ["recohere"],
 ])
 def test_numpy_is_not_loaded(args):
     assert numpy_loaded(*args) == {
         "import zenokit": False, "import zenokit.cli": False, "exit": 0, "main": False}
 
 
-def test_numpy_is_loaded_by_recohere():
-    # the control: recohere computes with register, which imports numpy
-    loaded = numpy_loaded("recohere")
-    assert loaded == {
-        "import zenokit": False, "import zenokit.cli": False, "exit": 0, "main": True}
-
-
-def test_register_names_are_served_lazily():
-    r = run_fresh(LAZY_API_PROBE)
+def test_register_names_are_served():
+    r = run_fresh(REGISTER_API_PROBE)
     assert r.returncode == 0, r.stderr
