@@ -186,8 +186,11 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 def _emit(text, output):
     chunks = [text] if isinstance(text, str) else text
     if output is None:
+        # Each chunk is flushed, so rows already written precede a later error;
+        # the output is numbers and fixed text, with no ANSI codes to strip.
         for chunk in chunks:
-            click.echo(chunk, nl=False)
+            sys.stdout.write(chunk)
+            sys.stdout.flush()
     else:
         try:
             with open(output, "w", encoding="utf-8", newline="") as fh:
@@ -222,14 +225,12 @@ def _require_finite(numbers, where, printed=0):
         raise ValidationError(f"survival is not finite {where(i)}; {done}")
 
 
-# One element of simulate's "series" list as json.dumps(indent=2) nests it.
-_JSON_SERIES_ITEM = """\
-    {
-      "step": %d,
-      "p_exact": %r,
-      "p_second_order": %r,
-      "abs_gap": %r
-    }"""
+# The text before, between and after the four cells (step, p_exact,
+# p_second_order, abs_gap) of one of simulate's rows: one element of the
+# "series" list as json.dumps(indent=2) nests it, and one csv.writer line.
+_JSON_SERIES_ROW = ('    {\n      "step": ', ',\n      "p_exact": ',
+                    ',\n      "p_second_order": ', ',\n      "abs_gap": ', '\n    }')
+_CSV_ROW = ("", ",", ",", ",", ",\r\n")
 
 
 @click.group()
@@ -268,15 +269,16 @@ def simulate(opts):
     chunks = _row_chunks(p_exact, p_second, lambda step: f"at step {step} {run}")
     chunks = itertools.chain([next(chunks)], chunks)
 
-    def summary(row):
-        values = {"p_exact": row[1], "p_second_order": row[2], "criterion": criterion}
+    def summary(p_exact, p_second_order):
+        values = {"p_exact": p_exact, "p_second_order": p_second_order,
+                  "criterion": criterion}
         if oracle:
-            values.update(p_oracle=p_oracle, oracle_abs_gap=abs(row[1] - p_oracle))
+            values.update(p_oracle=p_oracle, oracle_abs_gap=abs(p_exact - p_oracle))
         return values
 
-    # The per-step rows skip the generic encoders: each is formatted once
-    # into the bytes csv.writer or json.dumps(indent=2) would give, which
-    # for finite floats and ints are their repr.
+    # The per-step rows skip the generic encoders: each cell is written as
+    # the bytes csv.writer or json.dumps(indent=2) would give, which for
+    # ints and finite floats are their str and repr.
     if fmt == "json":
         head = json.dumps(
             {
@@ -288,19 +290,20 @@ def simulate(opts):
         ).split('"series": null', 1)[0]
         # The summary follows the series at the same depth as in one
         # json.dumps(indent=2) of the whole document.
-        return _stream(head + '"series": [\n', chunks, _JSON_SERIES_ITEM, ",\n",
-                       lambda row: "\n  ]," + _json({"summary": summary(row)})[1:])
+        return _stream(head + '"series": [\n', chunks, _JSON_SERIES_ROW, ",\n",
+                       lambda *last: "\n  ]," + _json({"summary": summary(*last)})[1:])
 
     csv_foot = "summary,%(p_exact)r,%(p_second_order)r,,%(criterion)r\r\n"
     if oracle:
         csv_foot += "oracle,%(p_oracle)r,,%(oracle_abs_gap)r,\r\n"
     return _stream("step,p_exact,p_second_order,abs_gap,criterion\r\n", chunks,
-                   "%d,%r,%r,%r,\r\n", "", lambda row: csv_foot % summary(row))
+                   _CSV_ROW, "", lambda *last: csv_foot % summary(*last))
 
 
 def _row_chunks(p_exact, p_second, where):
-    """Lists of ROW_CHUNK rows (step, p_exact, p_second_order, abs_gap),
-    each checked finite before it is handed on; where(step) names a step."""
+    """The columns (steps, p_exact, p_second_order, abs_gap) of ROW_CHUNK
+    rows at a time, each chunk checked finite before it is handed on;
+    where(step) names a step."""
     for start in itertools.count(1, ROW_CHUNK):
         exact = list(itertools.islice(p_exact, ROW_CHUNK))
         if not exact:
@@ -309,16 +312,31 @@ def _row_chunks(p_exact, p_second, where):
         # A gap is finite only if both of its row's probabilities are.
         gaps = list(map(abs, map(operator.sub, exact, second)))
         _require_finite(gaps, lambda i: where(start + i), printed=start - 1)
-        yield list(zip(itertools.count(start), exact, second, gaps))
+        yield range(start, start + len(exact)), exact, second, gaps
 
 
 def _stream(head, chunks, row, joiner, foot):
-    """head, then every chunk's rows as the template row formats them, with
-    joiner between each two rows, then foot(last row)."""
-    for chunk in chunks:
-        yield head + joiner.join(map(row.__mod__, chunk))
+    """head, then every chunk's rows, with joiner between each two rows,
+    then foot(p_exact, p_second_order) of the last row.
+
+    row is the five pieces of text before, between and after a row's four
+    cells. Each column is formatted by one map, str for the steps and repr
+    for the floats, and its strings are laid between the pieces by slice
+    assignment into one list per chunk.
+    """
+    lead, after_step, after_exact, after_second, end = row
+    # one row's slots, opened by the text between it and the row before it
+    slots = [end + joiner + lead, None, after_step, None, after_exact, None, after_second, None]
+    for steps, exact, second, gaps in chunks:
+        cells = slots * len(steps) + [end]
+        cells[0] = head + lead
+        cells[1::8] = map(str, steps)
+        cells[3::8] = map(repr, exact)
+        cells[5::8] = map(repr, second)
+        cells[7::8] = map(repr, gaps)
+        yield "".join(cells)
         head = joiner
-    yield foot(chunk[-1])
+    yield foot(exact[-1], second[-1])
 
 
 @main.command()

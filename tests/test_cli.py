@@ -1,6 +1,7 @@
 import collections
 import csv
 import io
+import itertools
 import json
 import math
 import operator
@@ -29,6 +30,7 @@ from zenokit import (
     evolution,
     family_eta,
     propagate_projected,
+    schedule_to_dict,
 )
 from zenokit.cli import main
 
@@ -133,6 +135,49 @@ def simulate_args(draw):
             "--n", str(n), *flags]
 
 
+# simulate's row writer before it formatted by column: one % template per row.
+CSV_ROW_TEMPLATE = "%d,%r,%r,%r,\r\n"
+JSON_ROW_TEMPLATE = """\
+    {
+      "step": %d,
+      "p_exact": %r,
+      "p_second_order": %r,
+      "abs_gap": %r
+    }"""
+
+
+def stream_by_row_template(head, chunks, template, joiner, foot):
+    """cli._stream's text, each row formatted by template from the chunk's
+    columns (steps, p_exact, p_second_order, abs_gap)."""
+    for chunk in chunks:
+        rows = list(zip(*chunk))
+        yield head + joiner.join(map(template.__mod__, rows))
+        head = joiner
+    yield foot(*rows[-1][1:3])
+
+
+# Floats whose repr takes the exponent form, a second order below 0, and zeros.
+CELL_FLOATS = st.one_of(
+    st.sampled_from([1e-05, 5e-324, 1e+16, 2.5e-17, -3.0, -0.5, 0.0, -0.0, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def column_chunks(draw):
+    """A few chunks of columns as cli._row_chunks yields them, their steps
+    counting on from near a ROW_CHUNK edge or anywhere."""
+    start = draw(st.one_of(st.integers(cli.ROW_CHUNK - 12, cli.ROW_CHUNK + 1),
+                           st.integers(1, 10**7)))
+    chunks = []
+    for size in draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)):
+        columns = [draw(st.lists(CELL_FLOATS, min_size=size, max_size=size))
+                   for _ in range(3)]
+        chunks.append((range(start, start + size), *columns))
+        start += size
+    return chunks
+
+
 SIMULATE_SCHEDULES = {
     "constant": (
         ("--eta", "0.93"), 300, ConstantOverlap(eta=0.93),
@@ -148,6 +193,24 @@ SIMULATE_SCHEDULES = {
         ExplicitOverlaps(overlaps=(0.9 + 0.1j, 0.95 + 0j, 0.7 - 0.3j, 0.8 + 0.2j)),
         {"type": "explicit", "overlaps": [[0.9, 0.1], 0.95, [0.7, -0.3], [0.8, 0.2]]},
     ),
+}
+
+
+SEVERAL_CHUNKS_OVERLAPS = tuple(itertools.islice(
+    itertools.cycle((0.9 + 0.1j, 0.95 + 0j, 0.7 - 0.3j, 0.8 + 0.2j)), 2 * cli.ROW_CHUNK + 5))
+# Runs of 2 * ROW_CHUNK + 5 steps, (omega, T, schedule flags, schedule) by
+# test id suffix.
+SEVERAL_CHUNKS = {
+    "": (0.7, 0.9, ("--eta", "0.93"), ConstantOverlap(eta=0.93)),
+    # compensated prefix sums
+    "-near-one": (0.7, 0.9, ("--eta", repr(1 - 1e-5)), ConstantOverlap(eta=1 - 1e-5)),
+    "-eta-one": (0.7, 0.9, ("--eta", "1"), ConstantOverlap(eta=1.0)),
+    # V*T^2 = 4: the second order falls below 0
+    "-vt2-above-one": (2.0, 1.0, ("--eta", "1"), ConstantOverlap(eta=1.0)),
+    "-explicit": (0.7, 0.9,
+                  ("--schedule", "explicit", "--overlaps",
+                   ",".join(map(repr, SEVERAL_CHUNKS_OVERLAPS))),
+                  ExplicitOverlaps(overlaps=SEVERAL_CHUNKS_OVERLAPS)),
 }
 
 
@@ -453,19 +516,57 @@ class TestSimulate:
         assert calls["zeno_sum"] <= 2
         assert calls["_weighted_tail"] <= 2
 
-    @pytest.mark.parametrize("to_file", [False, True])
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_rows_of_several_chunks_match_generic_encoders(self, runner, tmp_path, fmt,
-                                                           to_file):
+    @pytest.mark.parametrize("case,fmt,to_file", [
+        pytest.param(case, fmt, to_file, id=f"{fmt}-{to_file}{case}")
+        for case in SEVERAL_CHUNKS for fmt in ("csv", "json") for to_file in (False, True)
+    ])
+    def test_rows_of_several_chunks_match_generic_encoders(self, runner, tmp_path, case,
+                                                           fmt, to_file):
         n = 2 * cli.ROW_CHUNK + 5
-        args = ["simulate", "--omega", "0.7", "--T", "0.9", "--n", str(n), "--eta", "0.93",
+        omega, T, flags, schedule = SEVERAL_CHUNKS[case]
+        args = ["simulate", "--omega", repr(omega), "--T", repr(T), "--n", str(n), *flags,
                 "--format", fmt]
         path = tmp_path / "out.txt"
         r = invoke(runner, *args, *(["--output", str(path)] if to_file else []))
         assert r.exit_code == 0
-        expected = simulate_reference(fmt, 0.7, 0.9, n, ConstantOverlap(eta=0.93),
-                                      {"type": "constant", "eta": 0.93}, False).encode()
+        expected = simulate_reference(fmt, omega, T, n, schedule, schedule_to_dict(schedule),
+                                      False).encode()
         assert (path.read_bytes() if to_file else r.stdout_bytes) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(column_chunks(), st.sampled_from(["csv", "json"]))
+    def test_column_writer_equals_row_templates(self, chunks, fmt):
+        row, template, joiner = {
+            "csv": (cli._CSV_ROW, CSV_ROW_TEMPLATE, ""),
+            "json": (cli._JSON_SERIES_ROW, JSON_ROW_TEMPLATE, ",\n"),
+        }[fmt]
+
+        def foot(p_exact, p_second_order):
+            return f"\nlast {p_exact!r} {p_second_order!r}"
+
+        assert (list(cli._stream("head\n", iter(chunks), row, joiner, foot))
+                == list(stream_by_row_template("head\n", chunks, template, joiner, foot)))
+
+    @pytest.mark.parametrize("fmt,first_line", [
+        ("csv", b"step,p_exact,p_second_order,abs_gap,criterion\r\n"), ("json", b"{\n")],
+        ids=["csv", "json"])
+    def test_reader_that_closes_early_ends_the_run_quietly(self, fmt, first_line):
+        # click turns the broken pipe into exit 1 and keeps stderr empty
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(zenokit.__file__).parents[1])}
+        with subprocess.Popen(
+            [sys.executable, "-m", "zenokit.cli", "simulate", "--omega", "0.3", "--T", "0.7",
+             "--n", "100000", "--eta", "0.96", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            try:
+                line = proc.stdout.readline()
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=120)
+            finally:
+                proc.kill()
+        assert line == first_line
+        assert proc.returncode == 1
+        assert err == b""
 
     def test_deterministic_output(self, runner):
         args = ("simulate", "--omega", "1.3", "--T", "0.7", "--n", "40",
