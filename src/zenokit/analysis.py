@@ -233,7 +233,7 @@ def classify_schedule(schedule: OverlapSchedule) -> RegimeClassification:
     them with numeric_limit_probe instead.
     """
     if isinstance(schedule, ConstantOverlap):
-        if family_eta(schedule, 1) == 1.0:  # a constant's eta is the same at every n
+        if schedule.eta == 1.0:
             return RegimeClassification(Regime.FREE_EVOLUTION, 1.0)
         return RegimeClassification(Regime.ZENO, 0.0)
     if isinstance(schedule, PowerLawOverlap):

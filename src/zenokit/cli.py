@@ -129,6 +129,10 @@ def _convert(name, value):
     param = PARAMS[name]
     ptype = click.types.convert_type(param.type)
     try:
+        # click would read true as 1 and 2.7 as 2, where the flags refuse both
+        if (isinstance(value, bool) and param.type is not bool
+                or isinstance(value, float) and param.type is int and not value.is_integer()):
+            raise TypeError
         if not param.multiple:
             return ptype.convert(value, None, None)
         if not isinstance(value, list):

@@ -7,7 +7,7 @@ class ValidationError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A request exceeds a hard size cap (branch oracle, sweep grid)."""
+    """A request exceeds a hard size cap (branch oracle, sweep grid, step count)."""
 
 
 class UnclassifiableScheduleError(ValidationError):

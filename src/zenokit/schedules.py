@@ -35,10 +35,17 @@ def _check_overlap(name: str, z: complex) -> None:
 
 @dataclass(frozen=True)
 class ConstantOverlap:
-    eta: complex
+    """One real eta in [0, 1] for every step; an eta in the rounding slack
+    above 1 is stored as 1.0."""
+
+    eta: float
 
     def __post_init__(self):
         _check_overlap("eta", self.eta)
+        eta = complex(self.eta)
+        if eta.imag or eta.real < 0:
+            raise ValidationError(f"eta must be a real overlap in [0, 1], got {self.eta}")
+        object.__setattr__(self, "eta", min(eta.real + 0.0, 1.0))  # -0.0 as 0.0
 
 
 @dataclass(frozen=True)
@@ -83,13 +90,13 @@ def family_eta(schedule: OverlapSchedule, n: int) -> float:
     """The shared real overlap a family schedule realizes for an n-step run.
 
     An explicit schedule has no single eta; its mean modulus stands in for
-    it in second-order comparisons. That mean and a constant's modulus are
-    capped at 1, since _check_overlap admits moduli up to 1 + 1e-12.
+    it in second-order comparisons. That mean is capped at 1, since
+    _check_overlap admits moduli up to 1 + 1e-12.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if isinstance(schedule, ConstantOverlap):
-        return min(abs(schedule.eta), 1.0)
+        return schedule.eta
     if isinstance(schedule, PowerLawOverlap):
         try:
             decay = schedule.alpha / n**schedule.beta
@@ -130,8 +137,6 @@ def realize(schedule: OverlapSchedule, n: int) -> Iterator[complex]:
                 f"but the run has {n} steps"
             )
         return iter(schedule.overlaps)
-    if isinstance(schedule, ConstantOverlap):
-        return itertools.repeat(complex(schedule.eta), n)
     return itertools.repeat(complex(family_eta(schedule, n)), n)
 
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 
 ROW_NORM_TOL = 1e-9
 
@@ -77,6 +78,8 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
+        if self.n > sys.maxsize:
+            raise CapacityError(f"n = {self.n} is above the cap of sys.maxsize = {sys.maxsize}")
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValidationError(f"T must be finite and > 0, got {self.T}")
         if not (math.isfinite(self.omega) and self.omega >= 0):

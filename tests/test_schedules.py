@@ -137,7 +137,7 @@ _overlap = st.one_of(
     st.tuples(_unit, _unit).filter(lambda t: math.hypot(*t) <= 1.0).map(lambda t: complex(*t)),
 )
 SCHEDULES = st.one_of(
-    _overlap.map(lambda eta: ConstantOverlap(eta=eta)),
+    st.floats(min_value=0.0, max_value=1.0).map(lambda eta: ConstantOverlap(eta=eta)),
     st.builds(PowerLawOverlap, alpha=_positive, beta=_positive),
     st.builds(ExponentialOverlap, alpha=_positive, beta=_positive),
     st.lists(_overlap, max_size=8).map(lambda o: ExplicitOverlaps(overlaps=tuple(o))),
