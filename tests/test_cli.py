@@ -7,6 +7,7 @@ import math
 import operator
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -397,12 +398,16 @@ class TestSimulate:
         assert json.loads(r.output)["summary"]["criterion"] == criterion_value(1.0, 4)
 
     def test_constant_eta_in_the_slack_runs_as_eta_one(self, runner):
-        # the overlap check admits a modulus up to 1 + 1e-12; family_eta caps it
-        args = ("simulate", "--omega", "1", "--T", "1", "--n", "3", "--eta")
-        r, one = invoke(runner, *args, "1.0000000000005"), invoke(runner, *args, "1")
-        assert r.exit_code == 0, r.output
-        second_order = [row[1] for row in simulate_rows_and_summary("csv", r.stdout)[0]]
-        assert second_order == [row[1] for row in simulate_rows_and_summary("csv", one.stdout)[0]]
+        # The overlap check admits a modulus up to 1 + 1e-12, and ConstantOverlap
+        # stores such an eta as 1.0, which the chain reads as the second order
+        # does. At omega*T = pi the exact value is 1; a chain that multiplied
+        # by 1 + 1e-12 at every step went past it.
+        for fmt in ("csv", "json"):
+            args = ("simulate", "--omega", "1", "--T", repr(math.pi), "--n", "1000",
+                    "--format", fmt, "--eta")
+            r, one = invoke(runner, *args, "1.000000000001"), invoke(runner, *args, "1")
+            assert r.exit_code == one.exit_code == 0, r.output
+            assert r.stdout_bytes == one.stdout_bytes
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_writer_refuses_non_finite_value(self, runner, monkeypatch, fmt):
@@ -620,6 +625,18 @@ class TestSimulate:
         assert r.exit_code == 0
         assert ("\noracle," in r.stdout) == has_oracle
 
+    @pytest.mark.parametrize("config,args", [
+        ({"omega": 0.7, "T": 0.9, "n": 3.0, "eta": 0.5},
+         ("simulate", "--omega", "0.7", "--T", "0.9", "--n", "3", "--eta", "0.5")),
+        ({"eta": 0.5, "n_max": 4096.0}, ("classify", "--eta", "0.5", "--n-max", "4096")),
+    ])
+    def test_config_integral_float_reads_as_an_int(self, runner, tmp_path, config, args):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        r, by_flags = invoke(runner, args[0], "--config", str(cfg)), invoke(runner, *args)
+        assert r.exit_code == by_flags.exit_code == 0
+        assert r.stdout_bytes == by_flags.stdout_bytes
+
     def test_internal_value_error_is_not_reported_as_bad_input(self, runner,
                                                                monkeypatch):
         def broken(eta, config):
@@ -669,6 +686,17 @@ class TestInvalidInput:
              "the config file of sweep does not read oracle"),
             ('{"D": 2, "T": 1, "model": "free-particle"}', ("physical", "brownian"),
              "the config file of physical does not read model"),
+            # read as strictly as the flags: no bool as a number, no fraction as an int
+            ('{"omega": true, "T": 1, "n": 3, "eta": 0.5}', ("simulate",),
+             "config omega: True is not a valid float"),
+            ('{"omega": 1, "T": 1, "n": true, "eta": 0.5}', ("simulate",),
+             "config n: True is not a valid integer"),
+            ('{"omega": 1, "T": 1, "n": 2.7, "eta": 0.5}', ("simulate",),
+             "config n: 2.7 is not a valid integer"),
+            ('{"eta": 0.5, "n_max": 100.9}', ("classify",),
+             "config n_max: 100.9 is not a valid integer"),
+            ('{"omega": 1, "T": 1, "n": 3, "eta": [0, 1]}', ("simulate",),
+             "eta must be a real overlap in [0, 1], got 1j"),
         ],
     )
     def test_bad_config_exit_code(self, runner, tmp_path, monkeypatch, config, args,
@@ -735,6 +763,30 @@ class TestInvalidInput:
         assert r.stdout == ""
         assert f"error: {message}" in r.output
 
+    @pytest.mark.parametrize("args", [
+        ("simulate", "--n", "2000", "--eta", "-1"),
+        ("classify", "--eta", "-1"),
+        ("sweep", "--grid", "eta=-1,0.5", "--n", "10"),
+    ])
+    def test_negative_eta_exit_code(self, runner, args):
+        r = invoke(runner, args[0], "--omega", "0.3", "--T", "1", *args[1:])
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert "error: eta must be a real overlap in [0, 1], got -1.0" in r.output
+
+    @pytest.mark.parametrize("args,n", [
+        (("simulate", "--omega", "1", "--T", "1", "--eta", "0.5", "--n", str(10**19)), 10**19),
+        (("sweep", "--grid", "n=1e19", "--eta", "0.5"), 10**19),
+        # the probe's first n past the cap
+        (("classify", "--eta", "0.5", "--n-max", str(10**330)), sys.maxsize + 1),
+    ])
+    def test_step_count_past_sys_maxsize_exit_code(self, args, n):
+        r = run_fresh(*args)
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert f"error: n = {n} is above the cap of sys.maxsize = {sys.maxsize}" in r.stderr
+
     def test_grid_count_is_capped_before_it_is_built(self, runner):
         r = invoke(runner, "sweep", "--grid", "eta=lin:0:1:1000000000")
         assert r.exit_code == 3
@@ -745,6 +797,52 @@ class TestInvalidInput:
                    "--eta", "0.5", "--c-ratio", "2")
         assert r.exit_code == 2
         assert "No such option" in r.output
+
+
+# Every numeric flag's edge values: both zeros, a subnormal, the ends of
+# [0, 1], floats whose square or fourth power overflows, and non-finite ones.
+EDGE_NUMBERS = ("0", "-1", "-0.0", "1e-320", "0.5", "1", "1e154", "1e300", "nan", "inf")
+# Step counts past sys.maxsize, the last past the float range as well.
+HUGE_INTS = (str(sys.maxsize + 1), str(10**19), str(10**330))
+# simulate's and sweep's step counts: every one that the chain walks is at most 100.
+EDGE_STEPS = ("2", "100", *EDGE_NUMBERS, *HUGE_INTS)
+
+
+@st.composite
+def edge_invocations(draw):
+    """simulate, classify or sweep of a constant, power-law or exponential
+    schedule, with each numeric flag drawn from the edge values."""
+    number = st.sampled_from(EDGE_NUMBERS)
+    command = draw(st.sampled_from(["simulate", "classify", "sweep"]))
+    kind = draw(st.sampled_from(["constant", "power-law", "exponential"]))
+    fields = ("eta",) if kind == "constant" else ("alpha", "beta")
+    flags = {"schedule": kind, "T": draw(number), **{f: draw(number) for f in fields}}
+    if command == "classify":
+        flags[draw(st.sampled_from(["omega", "V"]))] = draw(number)
+        flags["n_max"] = draw(st.sampled_from(("64", "4096", *EDGE_NUMBERS, *HUGE_INTS)))
+        return [command, *as_flags(flags)]
+    flags.update(omega=draw(number), n=draw(st.sampled_from(EDGE_STEPS)))
+    if command == "simulate":
+        return [command, *as_flags(flags)]
+    grids = []
+    for name in draw(st.lists(st.sampled_from(["omega", "T", "n", *fields]),
+                              min_size=1, max_size=2, unique=True)):
+        values = st.sampled_from(EDGE_STEPS if name == "n" else EDGE_NUMBERS)
+        grids.append(f"{name}=" + ",".join(draw(st.lists(values, min_size=1, max_size=3))))
+        del flags[name]
+    return [command, *as_flags(flags), *(x for g in grids for x in ("--grid", g))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_invocations(), st.sampled_from(["csv", "json"]))
+@example(["simulate", "--omega", "1", "--T", "1", "--eta", "0.5", "--n", str(10**19)], "csv")
+@example(["sweep", "--grid", "n=1e19", "--eta", "0.5"], "csv")
+@example(["classify", "--eta", "0.5", "--n-max", str(10**330)], "csv")
+def test_edge_numbers_never_give_a_traceback(args, fmt):
+    r = invoke(CliRunner(), *args, "--format", fmt)
+    assert r.exit_code in (0, 2, 3), (r.output, r.exception)
+    if r.exit_code == 0:
+        assert not re.search("nan|inf", r.stdout, re.IGNORECASE), r.stdout
 
 
 class TestSteepPowerLaw:

@@ -27,6 +27,20 @@ def test_constant_rejects_modulus_above_one():
         ConstantOverlap(eta=1.0 + 1e-6)
 
 
+@pytest.mark.parametrize("given,stored", [
+    (0.25, 0.25), (1, 1.0), (0.5 + 0j, 0.5), (-0.0, 0.0),
+    # the rounding slack of the modulus check
+    (1 + 1e-12, 1.0), (1 + 5e-13, 1.0),
+])
+def test_constant_stores_the_one_eta_every_layer_reads(given, stored):
+    schedule = ConstantOverlap(eta=given)
+    assert type(schedule.eta) is float
+    assert math.copysign(1.0, schedule.eta) == 1.0
+    assert schedule.eta == stored
+    assert family_eta(schedule, 7) == stored
+    assert tuple(realize(schedule, 3)) == (complex(stored),) * 3
+
+
 def test_power_law_eta_value():
     assert family_eta(PowerLawOverlap(alpha=1.0, beta=2.0), 10) == pytest.approx(0.99)
 
@@ -110,6 +124,9 @@ def test_explicit_rejects_large_modulus():
     [
         (lambda: ExplicitOverlaps(overlaps=(0.5, math.nan)), "overlap 1 must be finite"),
         (lambda: ConstantOverlap(eta=1.5), "eta has modulus 1.5 > 1"),
+        *((lambda bad=bad: ConstantOverlap(eta=bad),
+           f"eta must be a real overlap in [0, 1], got {bad}")
+          for bad in (-1.0, -5e-324, 0.5 + 0.1j, 1j, complex(1.0, 1e-300))),
     ],
 )
 def test_overlap_refusal_wording(build, message):
@@ -179,7 +196,8 @@ def test_schedule_from_dict_reads_every_overlap_form(overlaps):
 def test_schedule_from_dict_reads_numeric_strings():
     assert schedule_from_dict({"type": "power-law", "alpha": "1.5", "beta": 2}) == (
         PowerLawOverlap(alpha=1.5, beta=2.0))
-    assert schedule_from_dict({"type": "constant", "eta": "0.5"}) == ConstantOverlap(eta=0.5)
+    for eta in ("0.5", "0.5+0j", [0.5, 0]):
+        assert schedule_from_dict({"type": "constant", "eta": eta}) == ConstantOverlap(eta=0.5)
 
 
 @pytest.mark.parametrize(
@@ -207,6 +225,9 @@ def test_schedule_from_dict_reads_numeric_strings():
          "the explicit schedule does not read beta"),
         # refused before a missing field is looked for
         ({"type": "power-law", "note": "x"}, "the power-law schedule does not read note"),
+        ({"type": "constant", "eta": [0.5, 0.1]},
+         "eta must be a real overlap in [0, 1], got (0.5+0.1j)"),
+        ({"type": "constant", "eta": "-0.5"}, "eta must be a real overlap in [0, 1], got -0.5"),
     ],
 )
 def test_schedule_from_dict_names_the_bad_field(data, message):
