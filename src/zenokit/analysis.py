@@ -19,7 +19,7 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
-from .errors import UnclassifiableScheduleError, ValidationError
+from .errors import CapacityError, UnclassifiableScheduleError, ValidationError
 from .schedules import (
     ConstantOverlap,
     ExponentialOverlap,
@@ -96,7 +96,11 @@ def _phi2(x: float) -> float:
         for c in reversed(_PHI2_SERIES):
             y = y * x + c
         return y
-    return math.expm1(x) / x**2 - 1.0 / x
+    try:
+        square = x**2
+    except OverflowError:  # float ** raises where * gives inf
+        square = math.inf
+    return math.expm1(x) / square - 1.0 / x
 
 
 def _weighted_tail(eta: float, n: int) -> float:
@@ -267,7 +271,11 @@ def _aitken_accelerate(seq: list[float]) -> tuple[float, bool]:
             if abs(denom) <= 1e3 * sys.float_info.epsilon * scale:
                 t.append(x2)
             else:
-                t.append(x2 - (x2 - x1) ** 2 / denom)
+                try:
+                    square = (x2 - x1) ** 2
+                except OverflowError:  # float ** raises where * gives inf
+                    square = math.inf
+                t.append(x2 - square / denom)
         s = t
         estimates.append(s[-1])
     converged = (
@@ -283,13 +291,15 @@ def numeric_limit_probe(
 ) -> RegimeClassification:
     """Empirical regime label from extrapolating second-order p_n.
 
-    Evaluates along the geometric grid n = 64, 128, ..., n_max,
+    Evaluates along the powers of two n = 64, 128, ... up to n_max,
     accelerates the tail, and compares the extrapolated limit with 1 and
     1 - V*T^2 at tolerance PROBE_TOLERANCE * V*T^2.
     """
     if n_max < 64:
         raise ValidationError(f"n_max must be >= 64, got {n_max}")
-    grid = [2**k for k in range(6, int(math.log2(n_max)) + 1)]
+    if n_max > sys.maxsize:
+        raise CapacityError(f"n_max = {n_max} is above the cap of sys.maxsize = {sys.maxsize}")
+    grid = [2**k for k in range(6, n_max.bit_length())]
     seq = []
     diagnostics = []
     for n in grid:

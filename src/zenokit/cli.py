@@ -10,6 +10,7 @@ identical invocations produce byte-identical output.
 
 from __future__ import annotations
 
+import argparse
 import collections
 import csv
 import dataclasses
@@ -19,11 +20,10 @@ import itertools
 import json
 import math
 import operator
+import os
 import sys
 import warnings
 from typing import NamedTuple
-
-import click
 
 from . import analysis, evolution, physical, register
 from .errors import CapacityError, UnclassifiableScheduleError, ValidationError, require_read
@@ -39,7 +39,7 @@ REQUIRED = object()
 
 
 class Param(NamedTuple):
-    """One option: its type, its default (REQUIRED for none) and its help.
+    """One option: its type (a tuple for a choice), its default (REQUIRED for none) and its help.
 
     The flag is the name with "--" in front and "_" as "-"; the config
     file key is the name. A command may override the default.
@@ -61,8 +61,7 @@ PARAMS = {
     "n_max": Param(int, 2**20, "Largest n probed numerically (default 2^20)."),
     "oracle": Param(bool, False, "Cross-check against the branch-word oracle "
                                  f"(n <= {evolution.ORACLE_MAX_STEPS})."),
-    "schedule": Param(click.Choice(list(SCHEDULE_TYPES)), "constant",
-                      "Overlap schedule family."),
+    "schedule": Param(tuple(SCHEDULE_TYPES), "constant", "Overlap schedule family."),
     "eta": Param(float, None, "Constant overlap in [0, 1]."),
     "alpha": Param(float, None, "Family coefficient (power-law, exponential)."),
     "beta": Param(float, None, "Family exponent or rate (power-law, exponential)."),
@@ -73,20 +72,25 @@ PARAMS = {
     "v": Param(float, REQUIRED, "Coupling velocity in m/s."),
     "c_ratio": Param(float, 1.0, "Interaction-time ratio of the pointer model."),
     "D": Param(float, REQUIRED, "Diffusion constant."),
-    "format": Param(click.Choice(["csv", "json"]), "json", "Output format."),
+    "format": Param(("csv", "json"), "json", "Output format."),
     # Flag only: never read from the config file.
-    "output": Param(click.Path(dir_okay=False), None,
-                    "Write to this path instead of stdout."),
-    "config": Param(click.Path(exists=True, dir_okay=False), None,
-                    "JSON file with default parameter values."),
+    "output": Param(str, None, "Write to this path instead of stdout."),
+    "config": Param(str, None, "JSON file with default parameter values."),
 }
+# A word after one of these flags is its value, even one that starts with "-".
+VALUE_FLAGS = {"--" + name.replace("_", "-") for name, param in PARAMS.items()
+               if param.type is not bool}
+# The types' names in messages, and the words a bool may be, in any case.
+TYPE_NAMES = {float: "float", int: "integer", bool: "boolean", str: "text"}
+BOOLEAN_WORDS = {**dict.fromkeys(("1", "true", "t", "yes", "y", "on"), True),
+                 **dict.fromkeys(("0", "false", "f", "no", "n", "off", ""), False)}
 SCHEDULE_FIELDS = tuple(dict.fromkeys(  # each schedule type's fields, each once
     field.name for cls in SCHEDULE_TYPES.values() for field in dataclasses.fields(cls)))
 SCHEDULE_OPTIONS = ("schedule", *SCHEDULE_FIELDS)
 SWEEP_PARAMS = (*CONFIG_FIELDS, *(f for f in SCHEDULE_FIELDS if f != "overlaps"))
 
 
-def _read_config(path, names):
+def _read_config(path, command, names):
     """The config file's values, converted as their flags would be (the schedule's
     by schedule_from_dict); a key that is not one of names exits 2."""
     if path is None:
@@ -98,10 +102,24 @@ def _read_config(path, names):
         raise ValidationError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
-    require_read(f"config file of {click.get_current_context().info_name}",
+    require_read(f"config file of {command}",
                  [k for k in names if k not in ("output", "config")], data)
-    return {k: v if k in SCHEDULE_OPTIONS else _convert(k, v)
+    return {k: v if k in SCHEDULE_OPTIONS else _config_value(k, v)
             for k, v in data.items() if v is not None}
+
+
+def _config_value(name, value):
+    """A config value read as its flag's word is; a multiple option's is a list of them."""
+    param = PARAMS[name]
+    try:
+        if not param.multiple:
+            return _convert(name, value)
+        if isinstance(value, list):
+            return tuple(_convert(name, v) for v in value)
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not a valid list of {TYPE_NAMES[param.type]}")
+    except argparse.ArgumentTypeError as exc:
+        raise ValidationError(f"config {name}: {exc}") from None
 
 
 class Options(collections.ChainMap):
@@ -126,72 +144,47 @@ class Options(collections.ChainMap):
 
 
 def _convert(name, value):
-    param = PARAMS[name]
-    ptype = click.types.convert_type(param.type)
-    try:
-        # click would read true as 1 and 2.7 as 2, where the flags refuse both
-        if (isinstance(value, bool) and param.type is not bool
-                or isinstance(value, float) and param.type is int and not value.is_integer()):
-            raise TypeError
-        if not param.multiple:
-            return ptype.convert(value, None, None)
-        if not isinstance(value, list):
-            raise TypeError
-        return tuple(ptype.convert(v, None, None) for v in value)
-    except (click.BadParameter, TypeError, ValueError, OverflowError):
-        kind = f"list of {ptype.name}" if param.multiple else ptype.name
-        raise ValidationError(f"config {name}: {value!r} is not a valid {kind}") from None
-
-
-def _takes(*names, **defaults):
-    """Give a click command the options `names` from PARAMS, in that order.
-
-    The command is called with the Options of one invocation, whose
-    defaults are PARAMS' with `defaults` laid over them, and returns
-    the text to print (or write to --output), as one string or an iterable
-    of strings. Invalid parameters exit 2, capacity errors 3. A warning is
-    shown as one line, "warning: <message>", on stderr; the warning filters
-    (-W, PYTHONWARNINGS) still decide whether it is shown at all, and a
-    warning that they turn into an error exits 2 like an invalid parameter.
+    """The value of the option name from a flag's word (argparse's type=) or
+    a config file's JSON value, which are read alike: a choice, a bool as a
+    word of BOOLEAN_WORDS, a number but not a bool, and an int not a fraction.
     """
-    defaults = {name: value for name in names
-                if (value := defaults.get(name, PARAMS[name].default)) is not REQUIRED}
+    ptype = PARAMS[name].type
+    try:
+        if isinstance(ptype, tuple):
+            return ptype[ptype.index(value)]
+        if ptype is bool:
+            return value if isinstance(value, bool) else BOOLEAN_WORDS[value.strip().lower()]
+        if isinstance(value, bool) or (ptype is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise TypeError
+        return ptype(value)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+        kind = "choice" if isinstance(ptype, tuple) else TYPE_NAMES[ptype]
+        raise argparse.ArgumentTypeError(f"{value!r} is not a valid {kind}") from None
 
+
+COMMANDS = {}
+
+
+def _command(name, *names, argument=None, **defaults):
+    """Make a function the command name in COMMANDS, which takes the options `names`
+    from PARAMS, in that order, and the positional argument = (name, choices) if
+    given. main calls it with the Options of one invocation, whose defaults are
+    PARAMS' with `defaults` laid over them; it returns the text to print (or write
+    to --output), as one string or an iterable of strings."""
     def decorate(fn):
-        @functools.wraps(fn)
-        def run(**flags):
-            # entering also clears the record of warnings already shown, so
-            # each invocation shows its own
-            with warnings.catch_warnings():
-                warnings.showwarning = _show_warning
-                try:
-                    config = _read_config(flags.pop("config", None), names)
-                    output = flags.pop("output")
-                    flags = {k: v for k, v in flags.items() if v is not None and v != ()}
-                    _emit(fn(Options(flags, config, defaults)), output)
-                except (CapacityError, ValidationError, Warning) as exc:
-                    click.echo(f"error: {exc}", err=True)
-                    sys.exit(3 if isinstance(exc, CapacityError) else 2)
-
-        for name in reversed(names):
-            param = PARAMS[name]
-            run = click.option("--" + name.replace("_", "-"), name, type=param.type,
-                               default=None, is_flag=param.type is bool,
-                               multiple=param.multiple, help=param.help)(run)
-        return run
+        COMMANDS[name] = fn, names, argument, {
+            option: value for option in names
+            if (value := defaults.get(option, PARAMS[option].default)) is not REQUIRED}
+        return fn
 
     return decorate
-
-
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    click.echo(f"warning: {message}", err=True)
 
 
 def _emit(text, output):
     chunks = [text] if isinstance(text, str) else text
     if output is None:
-        # Each chunk is flushed, so rows already written precede a later error;
-        # the output is numbers and fixed text, with no ANSI codes to strip.
+        # Each chunk is flushed, so rows already written precede a later error.
         for chunk in chunks:
             sys.stdout.write(chunk)
             sys.stdout.flush()
@@ -237,14 +230,8 @@ _JSON_SERIES_ROW = ('    {\n      "step": ', ',\n      "p_exact": ',
 _CSV_ROW = ("", ",", ",", ",", ",\r\n")
 
 
-@click.group()
-def main():
-    """Discrete free-evolution vs. decoherence toolkit for a qubit."""
-
-
-@main.command()
-@_takes("omega", "T", "n", "oracle", *SCHEDULE_OPTIONS, "format", "output", "config",
-        omega=REQUIRED, T=REQUIRED, n=REQUIRED, format="csv")
+@_command("simulate", "omega", "T", "n", "oracle", *SCHEDULE_OPTIONS, "format", "output", "config",
+          omega=REQUIRED, T=REQUIRED, n=REQUIRED, format="csv")
 def simulate(opts):
     """Exact and second-order survival probability of one run."""
     config = EvolutionConfig(omega=opts["omega"], T=opts["T"], n=opts["n"])
@@ -343,8 +330,7 @@ def _stream(head, chunks, row, joiner, foot):
     yield foot(exact[-1], second[-1])
 
 
-@main.command()
-@_takes("V", "omega", "T", "n_max", *SCHEDULE_OPTIONS, "format", "output", "config")
+@_command("classify", "V", "omega", "T", "n_max", *SCHEDULE_OPTIONS, "format", "output", "config")
 def classify(opts):
     """Analytic regime of a schedule family, with a numeric cross-check."""
     schedule = schedule_from_dict(opts.schedule())
@@ -451,9 +437,8 @@ def _parse_grid(spec):
     return name, sorted(set(values))
 
 
-@main.command()
-@_takes("grid", "omega", "T", "n", *SCHEDULE_OPTIONS, "format", "output", "config",
-        format="csv")
+@_command("sweep", "grid", "omega", "T", "n", *SCHEDULE_OPTIONS, "format", "output", "config",
+          format="csv")
 def sweep(opts):
     """Evaluate a 1- or 2-parameter grid of runs.
 
@@ -523,9 +508,8 @@ PHYSICAL_PARAMS = tuple(dict.fromkeys(  # each model's parameters, each once
     field.name for cls, _ in PHYSICAL_MODELS.values() for field in dataclasses.fields(cls)))
 
 
-@main.command("physical")
-@click.argument("model", type=click.Choice(list(PHYSICAL_MODELS)))
-@_takes(*PHYSICAL_PARAMS, "format", "output", "config", T=REQUIRED)
+@_command("physical", *PHYSICAL_PARAMS, "format", "output", "config",
+          argument=("model", tuple(PHYSICAL_MODELS)), T=REQUIRED)
 def physical_cmd(opts):
     """Derived quantities and schedule for one of the physical scenarios."""
     model = opts["model"]
@@ -555,8 +539,7 @@ def physical_cmd(opts):
     return _csv(("key", "value"), flat)
 
 
-@main.command()
-@_takes("format", "output")
+@_command("recohere", "format", "output")
 def recohere(opts):
     """Decoherence/revival stages with a pre-entangled environment pair."""
     stages = [
@@ -574,6 +557,63 @@ def recohere(opts):
     rho_columns = [f"rho_{i}{j}_{part}" for i in "01" for j in "01" for part in ("re", "im")]
     return _csv(("stage", *rho_columns, "coherence"), rows)
 
+
+def main(args=None, prog_name=None):
+    """Run the command that args (by default sys.argv[1:]) names, and exit. A
+    warning is one line on stderr, "warning: <message>", unless the warning
+    filters (-W, PYTHONWARNINGS) hide it or turn it into an error, which exits 2."""
+    parser = argparse.ArgumentParser(prog=prog_name or "zenokit", allow_abbrev=False,
+                                     description="Free evolution vs. decoherence of a qubit.")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (fn, names, argument, _) in COMMANDS.items():
+        command = commands.add_parser(name, help=fn.__doc__.splitlines()[0],
+                                      description=fn.__doc__, allow_abbrev=False)
+        if argument:
+            command.add_argument(argument[0], choices=argument[1])
+        for option in names:
+            param = PARAMS[option]
+            if param.type is bool:
+                reader = dict(action="store_true", default=None)
+            else:
+                reader = dict(type=functools.partial(_convert, option),
+                              action="append" if param.multiple else "store",
+                              choices=param.type if isinstance(param.type, tuple) else None)
+            command.add_argument("--" + option.replace("_", "-"), dest=option,
+                                 help=param.help, **reader)
+    words = []
+    for word in sys.argv[1:] if args is None else args:
+        if words and words[-1] in VALUE_FLAGS and word.startswith("-"):
+            words[-1] += "=" + word  # "--omega -1" as "--omega=-1", which argparse reads
+        else:
+            words.append(word)
+    try:
+        flags = vars(parser.parse_args(words))
+        command = flags.pop("command")
+        fn, names, _, defaults = COMMANDS[command]
+        # entering also clears the record of warnings already shown, so each
+        # invocation shows its own
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                             file=sys.stderr)
+            config = _read_config(flags.pop("config", None), command, names)
+            output = flags.pop("output")
+            flags = {k: v for k, v in flags.items() if v is not None}
+            _emit(fn(Options(flags, config, defaults)), output)
+    except (CapacityError, ValidationError, Warning) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(3 if isinstance(exc, CapacityError) else 2)
+    except BrokenPipeError:
+        # The reader closed stdout: exit 1 quietly; devnull takes the flush at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        sys.exit("Aborted!")
+    sys.exit(0)
+
+
+# click.testing.CliRunner, which the tests and zenobench's in-process runner
+# drive main with, calls main.main(args=..., prog_name=main.name).
+main.main, main.name = main, "zenokit"
 
 if __name__ == "__main__":
     main()

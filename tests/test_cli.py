@@ -10,6 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
@@ -697,6 +698,11 @@ class TestInvalidInput:
              "config n_max: 100.9 is not a valid integer"),
             ('{"omega": 1, "T": 1, "n": 3, "eta": [0, 1]}', ("simulate",),
              "eta must be a real overlap in [0, 1], got 1j"),
+            # a bool option is read as a bool or a word, never as a number or a list
+            ('{"omega": 1, "T": 1, "n": 3, "eta": 0.5, "oracle": 1}',
+             ("simulate",), "config oracle: 1 is not a valid boolean"),
+            ('{"omega": 1, "T": 1, "n": 3, "eta": 0.5, "oracle": [1]}',
+             ("simulate",), "config oracle: [1] is not a valid boolean"),
         ],
     )
     def test_bad_config_exit_code(self, runner, tmp_path, monkeypatch, config, args,
@@ -777,8 +783,6 @@ class TestInvalidInput:
     @pytest.mark.parametrize("args,n", [
         (("simulate", "--omega", "1", "--T", "1", "--eta", "0.5", "--n", str(10**19)), 10**19),
         (("sweep", "--grid", "n=1e19", "--eta", "0.5"), 10**19),
-        # the probe's first n past the cap
-        (("classify", "--eta", "0.5", "--n-max", str(10**330)), sys.maxsize + 1),
     ])
     def test_step_count_past_sys_maxsize_exit_code(self, args, n):
         r = run_fresh(*args)
@@ -786,6 +790,22 @@ class TestInvalidInput:
         assert r.stdout == ""
         assert "Traceback" not in r.stderr
         assert f"error: n = {n} is above the cap of sys.maxsize = {sys.maxsize}" in r.stderr
+
+    def test_n_max_past_sys_maxsize_exit_code(self):
+        r = run_fresh("classify", "--eta", "0.5", "--n-max", str(10**330))
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert (f"error: n_max = {10**330} is above the cap of sys.maxsize = {sys.maxsize}"
+                in r.stderr)
+
+    @pytest.mark.parametrize("n_max,last", [
+        (sys.maxsize, 2**62), (2**53 - 1, 2**52), (2**53, 2**53), (2**20 - 1, 2**19)])
+    def test_probe_stops_at_n_max(self, runner, n_max, last):
+        # log2 rounds 2^k - 1 up to k for k >= 53, past n_max
+        r = invoke(runner, "classify", "--eta", "0.5", "--n-max", str(n_max), "--format", "json")
+        assert r.exit_code == 0, r.output
+        assert json.loads(r.stdout)["numeric"]["diagnostics"][-1][0] == last
 
     def test_grid_count_is_capped_before_it_is_built(self, runner):
         r = invoke(runner, "sweep", "--grid", "eta=lin:0:1:1000000000")
@@ -796,7 +816,21 @@ class TestInvalidInput:
         r = invoke(runner, "simulate", "--omega", "1", "--T", "1", "--n", "3",
                    "--eta", "0.5", "--c-ratio", "2")
         assert r.exit_code == 2
-        assert "No such option" in r.output
+        assert r.stdout == ""
+        assert "--c-ratio" in r.stderr
+
+    def test_value_that_starts_with_a_dash_is_the_flags_value(self, runner):
+        args = ("simulate", "--omega", "0.3", "--T", "1", "--n", "2", "--schedule", "explicit")
+        r = invoke(runner, *args, "--overlaps", "-0.5,0.3")
+        assert r.exit_code == 0
+        assert r.stderr == ""
+        assert r.stdout_bytes == invoke(runner, *args, "--overlaps=-0.5,0.3").stdout_bytes
+
+    def test_negative_number_after_a_flag_is_its_value(self, runner):
+        r = invoke(runner, "simulate", "--omega", "-1e3", "--T", "1", "--n", "2", "--eta", "0.5")
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert "error: omega must be finite and >= 0" in r.stderr
 
 
 # Every numeric flag's edge values: both zeros, a subnormal, the ends of
@@ -840,6 +874,49 @@ def edge_invocations(draw):
 @example(["classify", "--eta", "0.5", "--n-max", str(10**330)], "csv")
 def test_edge_numbers_never_give_a_traceback(args, fmt):
     r = invoke(CliRunner(), *args, "--format", fmt)
+    assert r.exit_code in (0, 2, 3), (r.output, r.exception)
+    if r.exit_code == 0:
+        assert not re.search("nan|inf", r.stdout, re.IGNORECASE), r.stdout
+
+
+# Each command's config keys, over a config that runs; every chain walks at
+# most 5 steps, and every other step count drawn is refused.
+CONFIG_COMMANDS = {
+    ("simulate",): ({"omega": 0.3, "T": 1, "n": 5, "eta": 0.5},
+                    ("omega", "T", "n", "oracle", "schedule", "eta", "alpha", "beta",
+                     "overlaps", "format")),
+    ("classify",): ({"eta": 0.5, "n_max": 4096},
+                    ("V", "omega", "T", "n_max", "schedule", "eta", "alpha", "beta",
+                     "overlaps", "format")),
+    ("sweep",): ({"grid": ["eta=0.5,0.9"], "n": 5},
+                 ("grid", "omega", "T", "n", "schedule", "eta", "alpha", "beta", "overlaps",
+                  "format")),
+    ("physical", "brownian"): ({"D": 2, "T": 1},
+                               ("m", "sigma", "hbar", "v", "c_ratio", "T", "D", "format")),
+}
+EDGE_JSON_VALUES = (True, False, 0, 1, -1, 2.7, 1e308, "x", "", "yes", [], [1], {}, None,
+                    {"type": "power-law", "alpha": 1, "beta": 2})
+
+
+@st.composite
+def edge_configs(draw):
+    """A command and its config: a run's config with some keys set to edge values."""
+    command = draw(st.sampled_from(sorted(CONFIG_COMMANDS)))
+    base, keys = CONFIG_COMMANDS[command]
+    edges = draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(EDGE_JSON_VALUES),
+                                 min_size=1, max_size=3))
+    return command, {**base, **edges}
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_configs())
+@example((("simulate",), {"omega": 0.3, "T": 1, "n": 5, "eta": 0.5, "oracle": 1}))
+def test_edge_config_values_never_give_a_traceback(case):
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "config.json")
+        path.write_text(json.dumps(config))
+        r = invoke(CliRunner(), *command, "--config", str(path))
     assert r.exit_code in (0, 2, 3), (r.output, r.exception)
     if r.exit_code == 0:
         assert not re.search("nan|inf", r.stdout, re.IGNORECASE), r.stdout

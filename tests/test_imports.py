@@ -1,4 +1,5 @@
-"""zenokit never loads numpy: each test runs a fresh interpreter."""
+"""zenokit never loads numpy and needs nothing beyond the standard library:
+each test runs a fresh interpreter."""
 
 import json
 import os
@@ -87,3 +88,19 @@ def test_numpy_is_not_loaded(args):
 def test_register_names_are_served():
     r = run_fresh(REGISTER_API_PROBE)
     assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--omega", "0.7", "--T", "0.9", "--n", "20", "--eta", "0.5", "--oracle"],
+    ["classify", "--schedule", "power-law", "--alpha", "1", "--beta", "1"],
+    ["sweep", "--grid", "eta=0.5,0.9", "--omega", "0.5", "--T", "0.5", "--n", "100"],
+    ["physical", "brownian", "--D", "2", "--T", "1"],
+    ["recohere"],
+])
+def test_runs_without_site_packages(args):
+    # -S: no site-packages on sys.path, so only the standard library and src
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(zenokit.__file__).parents[1])}
+    r = subprocess.run([sys.executable, "-S", "-m", "zenokit.cli", *args],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout
