@@ -872,6 +872,8 @@ def edge_invocations(draw):
 @example(["simulate", "--omega", "1", "--T", "1", "--eta", "0.5", "--n", str(10**19)], "csv")
 @example(["sweep", "--grid", "n=1e19", "--eta", "0.5"], "csv")
 @example(["classify", "--eta", "0.5", "--n-max", str(10**330)], "csv")
+# phi2(-alpha) squares alpha past the float range
+@example(["classify", "--schedule", "power-law", "--alpha", "1e300", "--beta", "1"], "csv")
 def test_edge_numbers_never_give_a_traceback(args, fmt):
     r = invoke(CliRunner(), *args, "--format", fmt)
     assert r.exit_code in (0, 2, 3), (r.output, r.exception)
@@ -911,6 +913,8 @@ def edge_configs(draw):
 @settings(max_examples=300, deadline=None)
 @given(edge_configs())
 @example((("simulate",), {"omega": 0.3, "T": 1, "n": 5, "eta": 0.5, "oracle": 1}))
+# the probe's Aitken step squares a difference past the float range
+@example((("classify",), {"eta": 0.5, "n_max": 4096, "V": 1e308}))
 def test_edge_config_values_never_give_a_traceback(case):
     command, config = case
     with tempfile.TemporaryDirectory() as tmp:
