@@ -178,19 +178,24 @@ def second_order_with_criterion(
     criterion_value(eta, n), from one evaluation of the weighted tail.
 
     The survival is the second-order expansion, not a probability: it
-    leaves [0, 1] when 2*S*V*delta^2 > 1.
+    leaves [0, 1] when 2*S*V*delta^2 > 1. Warns when V*delta^2 > 0.1.
     """
-    n = config.n
-    _check_eta_n(eta, n)
-    vd2 = config.vd2
-    if vd2 > 0.1:
+    result = _second_order_and_criterion(eta, config)
+    if config.vd2 > 0.1:
         warnings.warn(
-            f"V*delta^2 = {vd2:.3g} > 0.1; the second-order formula is "
+            f"V*delta^2 = {config.vd2:.3g} > 0.1; the second-order formula is "
             "unreliable at this step size",
             stacklevel=2,
         )
+    return result
+
+
+def _second_order_and_criterion(eta: float, config: EvolutionConfig) -> tuple[float, float]:
+    """second_order_with_criterion without its step-size warning."""
+    n = config.n
+    _check_eta_n(eta, n)
     tail = _weighted_tail(eta, n)
-    return _second_order(n / 2.0 + tail, vd2), tail / (n * n)
+    return _second_order(n / 2.0 + tail, config.vd2), tail / (n * n)
 
 
 def second_order_partial(eta: float, config: EvolutionConfig, i: int) -> float:
@@ -293,7 +298,8 @@ def numeric_limit_probe(
 
     Evaluates along the powers of two n = 64, 128, ... up to n_max,
     accelerates the tail, and compares the extrapolated limit with 1 and
-    1 - V*T^2 at tolerance PROBE_TOLERANCE * V*T^2.
+    1 - V*T^2 at tolerance PROBE_TOLERANCE * V*T^2. The step sizes T/n are
+    the probe's own, so a large V*delta^2 at small n is not warned about.
     """
     if n_max < 64:
         raise ValidationError(f"n_max must be >= 64, got {n_max}")
@@ -304,7 +310,7 @@ def numeric_limit_probe(
     diagnostics = []
     for n in grid:
         eta = family_eta(schedule, n)
-        p_so, criterion = second_order_with_criterion(eta, replace(config, n=n))
+        p_so, criterion = _second_order_and_criterion(eta, replace(config, n=n))
         seq.append(p_so)
         diagnostics.append((n, criterion))
     limit, converged = _aitken_accelerate(seq)

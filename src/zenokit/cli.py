@@ -62,9 +62,10 @@ PARAMS = {
     "oracle": Param(bool, False, "Cross-check against the branch-word oracle "
                                  f"(n <= {evolution.ORACLE_MAX_STEPS})."),
     "schedule": Param(tuple(SCHEDULE_TYPES), "constant", "Overlap schedule family."),
-    "eta": Param(float, None, "Constant overlap in [0, 1]."),
-    "alpha": Param(float, None, "Family coefficient (power-law, exponential)."),
-    "beta": Param(float, None, "Family exponent or rate (power-law, exponential)."),
+    # text: schedule_from_dict reads a schedule flag's word as it reads a config value
+    "eta": Param(str, None, "Constant overlap in [0, 1]."),
+    "alpha": Param(str, None, "Family coefficient (power-law, exponential)."),
+    "beta": Param(str, None, "Family exponent or rate (power-law, exponential)."),
     "overlaps": Param(str, None, "Comma-separated per-step overlaps (explicit schedule)."),
     "m": Param(float, REQUIRED, "Mass in kg."),
     "sigma": Param(float, REQUIRED, "Packet width in m."),
@@ -164,18 +165,35 @@ def _convert(name, value):
 
 
 COMMANDS = {}
+PARSER = argparse.ArgumentParser(prog="zenokit", allow_abbrev=False,
+                                 description="Free evolution vs. decoherence of a qubit.")
+_SUBPARSERS = PARSER.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
 
 def _command(name, *names, argument=None, **defaults):
-    """Make a function the command name in COMMANDS, which takes the options `names`
-    from PARAMS, in that order, and the positional argument = (name, choices) if
-    given. main calls it with the Options of one invocation, whose defaults are
-    PARAMS' with `defaults` laid over them; it returns the text to print (or write
-    to --output), as one string or an iterable of strings."""
+    """Make a function the command name in COMMANDS and PARSER, which takes the
+    options `names` from PARAMS, in that order, and the positional argument =
+    (name, choices) if given. main calls it with the Options of one invocation,
+    whose defaults are PARAMS' with `defaults` laid over them; it returns the text
+    to print (or write to --output), as one string or an iterable of strings."""
     def decorate(fn):
-        COMMANDS[name] = fn, names, argument, {
+        COMMANDS[name] = fn, names, {
             option: value for option in names
             if (value := defaults.get(option, PARAMS[option].default)) is not REQUIRED}
+        command = _SUBPARSERS.add_parser(name, help=fn.__doc__.splitlines()[0],
+                                         description=fn.__doc__, allow_abbrev=False)
+        if argument:
+            command.add_argument(argument[0], choices=argument[1])
+        for option in names:
+            param = PARAMS[option]
+            if param.type is bool:
+                reader = dict(action="store_true", default=None)
+            else:
+                reader = dict(type=functools.partial(_convert, option),
+                              action="append" if param.multiple else "store",
+                              choices=param.type if isinstance(param.type, tuple) else None)
+            command.add_argument("--" + option.replace("_", "-"), dest=option,
+                                 help=param.help, **reader)
         return fn
 
     return decorate
@@ -246,10 +264,10 @@ def simulate(opts):
     p_oracle = evolution.enumerate_branches(step, schedule, config.n) if oracle else None
     run = f"for omega = {config.omega!r}, T = {config.T!r}, n = {config.n}"
 
-    # The exact column is finite, though the overlaps' 1e-12 modulus slack and
-    # rounding can both make the chain's norm grow past 1. The second-order
-    # column never increases in the step, so it is finite if its last row
-    # is; the rows are scanned only when that row is not.
+    # The exact column is finite and in [0, 1]: propagate_projected yields a
+    # value that the overlaps' slack or rounding lifts past 1 as 1.0. The
+    # second-order column never increases in the step, so it is finite if its
+    # last row is; the rows are scanned only when that row is not.
     if not math.isfinite(p_last):
         _require_finite(analysis.second_order_series(eta, config),
                         lambda i: f"at step {i + 1} {run}")
@@ -562,24 +580,6 @@ def main(args=None, prog_name=None):
     """Run the command that args (by default sys.argv[1:]) names, and exit. A
     warning is one line on stderr, "warning: <message>", unless the warning
     filters (-W, PYTHONWARNINGS) hide it or turn it into an error, which exits 2."""
-    parser = argparse.ArgumentParser(prog=prog_name or "zenokit", allow_abbrev=False,
-                                     description="Free evolution vs. decoherence of a qubit.")
-    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (fn, names, argument, _) in COMMANDS.items():
-        command = commands.add_parser(name, help=fn.__doc__.splitlines()[0],
-                                      description=fn.__doc__, allow_abbrev=False)
-        if argument:
-            command.add_argument(argument[0], choices=argument[1])
-        for option in names:
-            param = PARAMS[option]
-            if param.type is bool:
-                reader = dict(action="store_true", default=None)
-            else:
-                reader = dict(type=functools.partial(_convert, option),
-                              action="append" if param.multiple else "store",
-                              choices=param.type if isinstance(param.type, tuple) else None)
-            command.add_argument("--" + option.replace("_", "-"), dest=option,
-                                 help=param.help, **reader)
     words = []
     for word in sys.argv[1:] if args is None else args:
         if words and words[-1] in VALUE_FLAGS and word.startswith("-"):
@@ -587,9 +587,9 @@ def main(args=None, prog_name=None):
         else:
             words.append(word)
     try:
-        flags = vars(parser.parse_args(words))
+        flags = vars(PARSER.parse_args(words))
         command = flags.pop("command")
-        fn, names, _, defaults = COMMANDS[command]
+        fn, names, defaults = COMMANDS[command]
         # entering also clears the record of warnings already shown, so each
         # invocation shows its own
         with warnings.catch_warnings():
@@ -612,7 +612,7 @@ def main(args=None, prog_name=None):
 
 
 # click.testing.CliRunner, which the tests and zenobench's in-process runner
-# drive main with, calls main.main(args=..., prog_name=main.name).
+# drive main with, calls main.main(args=..., prog_name=main.name); prog_name is unused.
 main.main, main.name = main, "zenokit"
 
 if __name__ == "__main__":

@@ -35,6 +35,8 @@ def propagate_projected(
     A_1 only, since <E_0|E_0> = 1. Returns an iterator over the survival
     probability |A_0|^2 after each of the n steps, which computes one
     step per value; n and the schedule are checked before it is returned.
+    A value above 1, which the overlaps' 1e-12 modulus slack and rounding
+    can both give, is yielded as 1.0.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -48,7 +50,8 @@ def _projected_survival(
     a0, a1 = 1.0 + 0.0j, 0.0j
     for ov in overlaps:
         a0, a1 = c_eq_0 * a0 + c_neq_0 * a1, (c_neq_1 * a0 + c_eq_1 * a1) * ov
-        yield abs(a0) ** 2
+        p = abs(a0) ** 2
+        yield 1.0 if p > 1.0 else p  # a nan is passed on, for the caller to refuse
 
 
 def _branch_amplitude(
@@ -99,7 +102,8 @@ def enumerate_branches(
     while in state 1, and squares the modulus of the total. The words are
     enumerated one by one in two halves that meet at step n // 2, so the
     cost is about 2^(n/2) rather than 2^n; refuses n beyond the cap
-    rather than sampling.
+    rather than sampling. A total above 1 is returned as 1.0, as
+    propagate_projected yields it.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -108,4 +112,5 @@ def enumerate_branches(
             f"branch oracle sums 2^n words; n = {n} exceeds the "
             f"cap of {ORACLE_MAX_STEPS}"
         )
-    return abs(_branch_amplitude(U.coefficients, tuple(realize(schedule, n)))) ** 2
+    p = abs(_branch_amplitude(U.coefficients, tuple(realize(schedule, n)))) ** 2
+    return 1.0 if p > 1.0 else p

@@ -89,9 +89,9 @@ OverlapSchedule = Union[ConstantOverlap, PowerLawOverlap, ExponentialOverlap, Ex
 def family_eta(schedule: OverlapSchedule, n: int) -> float:
     """The shared real overlap a family schedule realizes for an n-step run.
 
-    An explicit schedule has no single eta; its mean modulus stands in for
-    it in second-order comparisons. That mean is capped at 1, since
-    _check_overlap admits moduli up to 1 + 1e-12.
+    An explicit schedule has no single eta; its mean modulus (summed by
+    math.fsum, which rounds alike on every Python) stands in for it, capped
+    at 1, since _check_overlap admits moduli up to 1 + 1e-12.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -120,7 +120,7 @@ def family_eta(schedule: OverlapSchedule, n: int) -> float:
     if isinstance(schedule, ExplicitOverlaps):
         if not schedule.overlaps:
             raise ValidationError("explicit schedule is empty")
-        return min(sum(map(abs, schedule.overlaps)) / len(schedule.overlaps), 1.0)
+        return min(math.fsum(map(abs, schedule.overlaps)) / len(schedule.overlaps), 1.0)
     raise ValidationError(f"unknown schedule type {type(schedule).__name__}")
 
 

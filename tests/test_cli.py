@@ -1,3 +1,4 @@
+import argparse
 import collections
 import csv
 import io
@@ -410,6 +411,25 @@ class TestSimulate:
             assert r.exit_code == one.exit_code == 0, r.output
             assert r.stdout_bytes == one.stdout_bytes
 
+    @pytest.mark.parametrize("n,oracle", [(10000, ()), (20, ("--oracle",))])
+    def test_probabilities_stay_at_most_one(self, runner, n, oracle):
+        # At omega*T = pi the exact value is 1, which rounding overshot by
+        # up to 8.3e-13 (p_exact) and 1.8e-15 (p_oracle).
+        r = invoke(runner, "simulate", "--omega", "1", "--T", repr(math.pi), "--n", str(n),
+                   "--eta", "1", *oracle)
+        assert r.exit_code == 0, r.output
+        records = list(csv.reader(io.StringIO(r.stdout)))[1:]
+        probabilities = [float(row[1]) for row in records]
+        assert len(probabilities) == n + 1 + len(oracle)
+        assert all(0.0 <= p <= 1.0 for p in probabilities), max(probabilities)
+
+    @pytest.mark.parametrize("word", ["0.5+0j", "(0.5)"])
+    def test_eta_word_is_read_as_a_config_value_is(self, runner, word):
+        args = ("simulate", "--omega", "0.7", "--T", "0.9", "--n", "5", "--eta")
+        r, plain = invoke(runner, *args, word), invoke(runner, *args, "0.5")
+        assert r.exit_code == plain.exit_code == 0, r.output
+        assert r.stdout_bytes == plain.stdout_bytes
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_writer_refuses_non_finite_value(self, runner, monkeypatch, fmt):
         original = analysis.second_order_series
@@ -754,6 +774,19 @@ class TestInvalidInput:
         assert r.stdout == ""
         assert f"error: {message}" in r.output
 
+    @pytest.mark.parametrize("args,message", [
+        (("classify", "--schedule", "power-law", "--alpha", "x", "--beta", "1"),
+         "alpha must be a number, got 'x'"),
+        (("simulate", "--omega", "1", "--T", "1", "--n", "2", "--eta", "abc"),
+         "eta must be a number, got 'abc'"),
+    ])
+    def test_bad_schedule_word_is_a_parameter_error(self, runner, args, message):
+        # schedule_from_dict reads the word, so no usage lines are printed
+        r = invoke(runner, *args)
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error: {message}\n"
+
     @pytest.mark.parametrize(
         "grids,message",
         [
@@ -1043,9 +1076,17 @@ class TestClassify:
         )
         assert r.exit_code == 2
         assert r.stdout == ""
-        assert r.stderr.startswith("warning: V*delta^2 = ")
-        assert "unreliable" in r.stderr
-        assert "error: survival is not finite for V = 1e+300, T = 100000.0" in r.output
+        # the probe's own step sizes are not warned about
+        assert r.stderr == ("error: survival is not finite for V = 1e+300, T = 100000.0; "
+                            "no rows printed\n")
+
+    def test_probe_step_sizes_are_not_warned_about(self):
+        # V*delta^2 = 1000/64^2 > 0.1 at the probe's first n = 64
+        r = run_fresh("classify", "--V", "1000", "--T", "1", "--schedule", "constant",
+                      "--eta", "0.5", python_flags=("-W", "error"))
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == ""
+        assert json.loads(r.stdout)["numeric"]["label"] == "Zeno"
 
     def test_tiny_intermediate_alpha_runs(self, runner):
         r = invoke(
@@ -1512,3 +1553,18 @@ class TestLayers:
         assert by_flags.exit_code == by_config.exit_code == both.exit_code == 0
         assert by_config.stdout_bytes != by_flags.stdout_bytes
         assert both.stdout_bytes == by_flags.stdout_bytes
+
+
+def test_main_builds_no_parser(runner, monkeypatch):
+    # The parser is built once, when the commands register, not per call.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        assert invoke(runner, "classify", "--eta", "0.5", "--n-max", "64").exit_code == 0
+    assert built == []

@@ -32,7 +32,17 @@ p_second_order and criterion at n = 1024 (0.00039051043685023323 to
 n = 4096 (9.764909547271827e-05 to 9.76490954728293e-05,
 0.49982910513976364 to 0.4998291051397636); in classify, the probe's
 n = 64 diagnostic (0.49218749995123195 to 0.492187499951232). No other
-line changed.
+line changed. The digests of simulate-config-flat, -config-schedule-object,
+-explicit-json, -explicit-oracle-csv and sweep-config-explicit-csv were
+re-recorded when an explicit schedule's mean modulus moved from the
+built-in sum() to math.fsum, since Python 3.12 made sum() of floats a
+compensated sum and these five printed other bytes on 3.12 and 3.13 than
+on 3.10 and 3.11. The digests are now the same on 3.10 to 3.13, and equal
+to the old digests under 3.12. Only columns derived from that mean moved,
+each by an ulp or a few: eta_n (sweep, 0.858347389904733 to
+0.8583473899047329), p_second_order, abs_gap and criterion (simulate,
+0.29368855239563674 to 0.29368855239563685). No p_exact or oracle value
+changed.
 """
 
 import hashlib
@@ -101,19 +111,19 @@ GOLDEN = {
     "physical-gaussian-pointer-csv": (0, "12b0b158d6bfa8a2d40c184d525b02f808ec17e8672d93f114e85292c45e7faa"),
     "recohere-csv": (0, "1cbdeaed75b37ff6f8f98778b9813ddd523d8e6eeb443a5fd56d8fe113ba4080"),
     "recohere-json": (0, "31124b0260e4377247978db405448572488fa05a638bbdf06c6e0eb19e3fbabf"),
-    "simulate-config-flat": (0, "53f8ba97da7b02e177f49c2cbc38ae957474e76303ed9f0425da920011c01d2f"),
-    "simulate-config-schedule-object": (0, "7d7a2d101a0066dfe58a0dda5ec4ff884b2dbd83808c2194ded71fe2d4f2ee9c"),
+    "simulate-config-flat": (0, "a2a4f46c35365bf491d157e3bfd3f9a31fd1275144569fb6b050379cad36a2af"),
+    "simulate-config-schedule-object": (0, "3b5ffb7f63fff3deb728ada49ac860c8f4b999a4084ba690e8f61afa294ed0e7"),
     "simulate-constant-csv": (0, "ce36d48962e57a32761ccb6037ddf05bf8c4246907f7eb9573bd21476655c098"),
     "simulate-constant-json": (0, "9ff1be28d5d429caddf96751946eb55d9b9d9d2b1bf121f919b185189b685c55"),
     "simulate-eta-one-csv": (0, "1d5cc652c7136c12b5aa64acabe19433f1e6644c5f0c330298a51ad0e9b9ba23"),
-    "simulate-explicit-json": (0, "7d7a2d101a0066dfe58a0dda5ec4ff884b2dbd83808c2194ded71fe2d4f2ee9c"),
-    "simulate-explicit-oracle-csv": (0, "a15dcbc00d930e0f4213ae853e19f677aaa1500b88d0a20b3f9244f4e2d31d20"),
+    "simulate-explicit-json": (0, "3b5ffb7f63fff3deb728ada49ac860c8f4b999a4084ba690e8f61afa294ed0e7"),
+    "simulate-explicit-oracle-csv": (0, "e7bfcd9d0b1203017a5406a2a30adf9b68a3c70d9b6f221ac11d5fcca052c24d"),
     "simulate-exponential-csv": (0, "7e09e4d679f97ba2c07af32b85bfb6ab37d9e6484d9fd058f1566748e1073348"),
     "simulate-invalid-eta-exit-2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "simulate-oracle-cap-exit-3": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "simulate-output-file": (0, "8a04499e3a60eb84651f4e4c05292d31c4cca7f4a2ae3a17c90ae96a6bb9d6d0"),
     "simulate-power-law-oracle-json": (0, "86b674ae4a4a25459eec996782a2f4686853f04880b98b14fff02e051c50bc49"),
-    "sweep-config-explicit-csv": (0, "4ac5ae7314c37d6cd99c8c1463c67a3eb9d5322c92cc8d6154f0dc65a5a267d5"),
+    "sweep-config-explicit-csv": (0, "41cbd8b562e9d68672d69aaac1e67180b27124a4eddcfc55ea034a103fca9904"),
     "sweep-constant-csv": (0, "ea833a4c88f9080e40696c7aaf6c9357028b9f2479e7b4a88fb4dbb41297c7f2"),
     "sweep-output-json": (0, "42964d490826519aaa2b69dce5d775e7c162f3816740ed37203659bf59af4198"),
     "sweep-power-law-json": (0, "f463051b8a5c6fdada9aa34d8f7045eb5b5200404166d4ce98384f5deec04872"),

@@ -100,7 +100,13 @@ class TestSurvivalListProperties:
     @given(unitaries(), explicit_schedules())
     def test_every_entry_is_a_probability(self, u, schedule):
         series = list(propagate_projected(u, schedule, len(schedule.overlaps)))
-        assert all(0.0 <= p <= 1.0 + 1e-12 for p in series)
+        assert all(0.0 <= p <= 1.0 for p in series)
+
+    def test_overlaps_in_the_modulus_slack_stay_at_most_one(self):
+        # each overlap lifts the norm by 1e-12; unclamped, the chain peaks near 1 + 1e-9
+        overlaps = ExplicitOverlaps(overlaps=(1 + 1e-12,) * 1000)
+        u = make_rabi_unitary(1.0, math.pi / 1000)
+        assert max(propagate_projected(u, overlaps, 1000)) == 1.0
 
 
 class TestEnumerateBranches:

@@ -139,6 +139,13 @@ def test_explicit_family_eta_is_mean_modulus():
     assert family_eta(sched, 3) == pytest.approx(0.5)
 
 
+def test_explicit_family_eta_is_correctly_rounded():
+    # The built-in sum() of these moduli gives 1.0 on Python 3.10 and 3.11
+    # and 1.000000000000001 from 3.12 on; math.fsum gives the latter on all.
+    sched = ExplicitOverlaps(overlaps=(1.0,) + (1e-16,) * 10)
+    assert family_eta(sched, 11) == 1.000000000000001 / 11
+
+
 def test_explicit_family_eta_of_normalised_overlaps_is_one():
     # z/abs(z) may round to a modulus of 1 + 2.2e-16, within the slack
     unit = (z / abs(z) for z in (complex(k, 1.0) for k in range(1, 200)))
