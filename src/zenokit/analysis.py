@@ -17,8 +17,8 @@ import math
 import sys
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
 
+from ._frozen import Frozen
 from .errors import CapacityError, UnclassifiableScheduleError, ValidationError
 from .schedules import (
     ConstantOverlap,
@@ -43,8 +43,7 @@ class Regime(enum.Enum):
     INTERMEDIATE = "Intermediate"
 
 
-@dataclass(frozen=True)
-class RegimeClassification:
+class RegimeClassification(Frozen):
     """Asymptotic label plus the coefficient k in lim p_n = 1 - k*V*T^2.
 
     k = 0 for the Zeno regime, k = 1 for free evolution, k in (0,1) for
@@ -310,7 +309,8 @@ def numeric_limit_probe(
     diagnostics = []
     for n in grid:
         eta = family_eta(schedule, n)
-        p_so, criterion = _second_order_and_criterion(eta, replace(config, n=n))
+        at_n = EvolutionConfig(config.omega, config.T, n)
+        p_so, criterion = _second_order_and_criterion(eta, at_n)
         seq.append(p_so)
         diagnostics.append((n, criterion))
     limit, converged = _aitken_accelerate(seq)

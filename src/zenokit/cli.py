@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import collections
 import csv
-import dataclasses
 import functools
 import io
 import itertools
@@ -34,7 +33,7 @@ SWEEP_POINT_CAP = 10**6
 # simulate formats, checks and writes its rows this many at a time, so its
 # memory does not grow with n.
 ROW_CHUNK = 4096
-CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(EvolutionConfig))
+CONFIG_FIELDS = EvolutionConfig._fields
 REQUIRED = object()
 
 
@@ -86,7 +85,7 @@ TYPE_NAMES = {float: "float", int: "integer", bool: "boolean", str: "text"}
 BOOLEAN_WORDS = {**dict.fromkeys(("1", "true", "t", "yes", "y", "on"), True),
                  **dict.fromkeys(("0", "false", "f", "no", "n", "off", ""), False)}
 SCHEDULE_FIELDS = tuple(dict.fromkeys(  # each schedule type's fields, each once
-    field.name for cls in SCHEDULE_TYPES.values() for field in dataclasses.fields(cls)))
+    name for cls in SCHEDULE_TYPES.values() for name in cls._fields))
 SCHEDULE_OPTIONS = ("schedule", *SCHEDULE_FIELDS)
 SWEEP_PARAMS = (*CONFIG_FIELDS, *(f for f in SCHEDULE_FIELDS if f != "overlaps"))
 
@@ -523,7 +522,7 @@ PHYSICAL_MODELS = {
     "brownian": (physical.BrownianModelParams, physical.brownian_schedule),
 }
 PHYSICAL_PARAMS = tuple(dict.fromkeys(  # each model's parameters, each once
-    field.name for cls, _ in PHYSICAL_MODELS.values() for field in dataclasses.fields(cls)))
+    name for cls, _ in PHYSICAL_MODELS.values() for name in cls._fields))
 
 
 @_command("physical", *PHYSICAL_PARAMS, "format", "output", "config",
@@ -532,10 +531,9 @@ def physical_cmd(opts):
     """Derived quantities and schedule for one of the physical scenarios."""
     model = opts["model"]
     cls, to_schedule = PHYSICAL_MODELS[model]
-    read = [field.name for field in dataclasses.fields(cls)]
-    require_read(f"{model} model", read, [k for k in PHYSICAL_PARAMS if opts.given(k)])
-    params = cls(**{name: opts[name] for name in read})
-    record = {"model": model, **dataclasses.asdict(params)}
+    require_read(f"{model} model", cls._fields, [k for k in PHYSICAL_PARAMS if opts.given(k)])
+    params = cls(**{name: opts[name] for name in cls._fields})
+    record = {"model": model, **{name: getattr(params, name) for name in cls._fields}}
     if to_schedule is None:
         record.update(
             energy_variance=physical.free_particle_variance(params),

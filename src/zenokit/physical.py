@@ -7,8 +7,8 @@ in natural units with hbar = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .errors import ValidationError
 from .schedules import PowerLawOverlap
 
@@ -44,8 +44,7 @@ def _derived(what: str, compute, **inputs: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class FreeParticleParams:
+class FreeParticleParams(Frozen):
     m: float
     sigma: float
     hbar: float = HBAR
@@ -54,8 +53,7 @@ class FreeParticleParams:
         _require_positive(m=self.m, sigma=self.sigma, hbar=self.hbar)
 
 
-@dataclass(frozen=True)
-class PointerModelParams:
+class PointerModelParams(Frozen):
     """Coupling velocity v, environment packet width sigma, interaction-time
     ratio c_ratio, total time T."""
 
@@ -68,8 +66,7 @@ class PointerModelParams:
         _require_positive(v=self.v, sigma=self.sigma, c_ratio=self.c_ratio, T=self.T)
 
 
-@dataclass(frozen=True)
-class BrownianModelParams:
+class BrownianModelParams(Frozen):
     """Diffusion constant D (units 1/sqrt(time), so D^2 * delta is
     dimensionless) and total time T."""
 

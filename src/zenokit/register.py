@@ -11,8 +11,8 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .errors import ValidationError
 
 MAX_QUBITS = 12
@@ -29,8 +29,7 @@ def _complex_tuple(values, what: str) -> tuple[complex, ...]:
     raise ValidationError(f"{what} must be a sequence of numbers, got {values!r}")
 
 
-@dataclass(frozen=True)
-class QubitRegister:
+class QubitRegister(Frozen):
     k: int
     amplitudes: tuple[complex, ...]
 
@@ -46,8 +45,7 @@ class QubitRegister:
         object.__setattr__(self, "amplitudes", amps)
 
 
-@dataclass(frozen=True)
-class DensityMatrix2:
+class DensityMatrix2(Frozen):
     """2x2 reduced density matrix, read as matrix[i][j]; Hermitian, unit trace, PSD."""
 
     matrix: tuple[tuple[complex, complex], tuple[complex, complex]]

@@ -16,9 +16,9 @@ import functools
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
 from typing import Union
 
+from ._frozen import Frozen
 from .errors import ValidationError, require_read
 
 _MODULUS_SLACK = 1e-12
@@ -33,8 +33,7 @@ def _check_overlap(name: str, z: complex) -> None:
         raise ValidationError(f"{name} has modulus {abs(z):.6g} > 1")
 
 
-@dataclass(frozen=True)
-class ConstantOverlap:
+class ConstantOverlap(Frozen):
     """One real eta in [0, 1] for every step; an eta in the rounding slack
     above 1 is stored as 1.0."""
 
@@ -48,8 +47,7 @@ class ConstantOverlap:
         object.__setattr__(self, "eta", min(eta.real + 0.0, 1.0))  # -0.0 as 0.0
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(Frozen):
     """A family schedule's two parameters, both finite and > 0."""
 
     alpha: float
@@ -63,18 +61,15 @@ class _Family:
             )
 
 
-@dataclass(frozen=True)
 class PowerLawOverlap(_Family):
     """eta_n = 1 - alpha / n**beta."""
 
 
-@dataclass(frozen=True)
 class ExponentialOverlap(_Family):
     """eta_n = 1 - alpha * exp(-beta * n)."""
 
 
-@dataclass(frozen=True)
-class ExplicitOverlaps:
+class ExplicitOverlaps(Frozen):
     overlaps: tuple[complex, ...]
 
     def __post_init__(self):
@@ -162,8 +157,8 @@ def _to_json(value):
 def schedule_to_dict(schedule: OverlapSchedule) -> dict:
     """{"type": ..., <fields>}: the JSON form that schedule_from_dict reads back."""
     out = {"type": _TYPE_NAMES[type(schedule)]}
-    for field in fields(schedule):
-        out[field.name] = _to_json(getattr(schedule, field.name))
+    for name in schedule._fields:
+        out[name] = _to_json(getattr(schedule, name))
     return out
 
 
@@ -218,10 +213,9 @@ def schedule_from_dict(data: dict) -> OverlapSchedule:
         raise ValidationError(
             f"unknown schedule type {kind!r}; choose from {', '.join(SCHEDULE_TYPES)}"
         )
-    names = [field.name for field in fields(cls)]
-    require_read(f"{kind} schedule", ["type", *names], data)
+    require_read(f"{kind} schedule", ["type", *cls._fields], data)
     values = {}
-    for name in names:
+    for name in cls._fields:
         if data.get(name) is None:
             raise ValidationError(f"{kind} schedule needs {name}")
         values[name] = _DECODERS[name](name, data[name])

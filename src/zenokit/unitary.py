@@ -15,20 +15,21 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .errors import CapacityError, ValidationError
 
 ROW_NORM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FreeEvolutionUnitary:
+class FreeEvolutionUnitary(Frozen):
     a: complex
     b: complex
     phi: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.phi):
+            raise ValidationError(f"phi must be finite, got {self.phi!r}")
         norm = abs(self.a) ** 2 + abs(self.b) ** 2
         if not abs(norm - 1.0) <= ROW_NORM_TOL:
             raise ValidationError(
@@ -67,8 +68,7 @@ def make_general_unitary(a: complex, b: complex, phi: float) -> FreeEvolutionUni
     return FreeEvolutionUnitary(a=u.a / norm, b=u.b / norm, phi=u.phi)
 
 
-@dataclass(frozen=True)
-class EvolutionConfig:
+class EvolutionConfig(Frozen):
     """Run parameters: Rabi frequency omega, total time T, step count n."""
 
     omega: float

@@ -1,5 +1,5 @@
-"""zenokit never loads numpy and needs nothing beyond the standard library:
-each test runs a fresh interpreter."""
+"""zenokit never loads numpy, needs nothing beyond the standard library and
+launches without dataclasses or inspect: each test runs a fresh interpreter."""
 
 import json
 import os
@@ -104,3 +104,35 @@ def test_runs_without_site_packages(args):
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout
+
+
+# One main call of each command, then writes to stderr, as JSON, the exit
+# codes and which of the modules named by the arguments are loaded.
+LAUNCH_PROBE = """
+import json, sys
+import zenokit.cli
+exits = []
+for args in (
+    ["simulate", "--omega", "0.7", "--T", "0.9", "--n", "20", "--eta", "0.5", "--oracle"],
+    ["classify", "--schedule", "power-law", "--alpha", "1", "--beta", "1"],
+    ["sweep", "--grid", "eta=0.5,0.9", "--omega", "0.5", "--T", "0.5", "--n", "100"],
+    ["physical", "gaussian-pointer", "--v", "1", "--sigma", "1", "--T", "1"],
+    ["recohere"],
+):
+    try:
+        zenokit.cli.main(args)
+    except SystemExit as exc:
+        exits.append(exc.code)
+loaded = sorted(name for name in sys.argv[1:] if name in sys.modules)
+sys.stderr.write(json.dumps({"exits": exits, "loaded": loaded}))
+"""
+
+
+def test_commands_run_without_dataclasses_or_inspect():
+    # The record types share zenokit._frozen.Frozen: importing dataclasses
+    # would load inspect, ast, dis and tokenize at every launch.
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(zenokit.__file__).parents[1])}
+    r = subprocess.run([sys.executable, "-S", "-c", LAUNCH_PROBE, "dataclasses", "inspect"],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stderr) == {"exits": [0] * 5, "loaded": []}

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from zenokit import (
     EvolutionConfig,
+    FreeEvolutionUnitary,
     ValidationError,
     make_general_unitary,
     make_rabi_unitary,
@@ -73,6 +74,15 @@ def test_general_unitary_rejects_bad_norm():
 def test_general_unitary_rejects_non_finite(a):
     with pytest.raises(ValidationError, match="deviates"):
         make_general_unitary(a, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [make_general_unitary, FreeEvolutionUnitary])
+def test_non_finite_phi_is_refused(build, phi):
+    # a nan phi gave nan coefficients, so propagate_projected yielded nan survival
+    with pytest.raises(ValidationError) as info:
+        build(1.0, 0.0, phi)
+    assert str(info.value) == f"phi must be finite, got {phi!r}"
 
 
 def test_rabi_cross_term_is_real_nonpositive():
