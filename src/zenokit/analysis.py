@@ -19,7 +19,7 @@ import warnings
 from collections.abc import Iterator
 
 from ._frozen import Frozen
-from .errors import CapacityError, UnclassifiableScheduleError, ValidationError
+from .errors import CapacityError, UnclassifiableScheduleError, ValidationError, as_count
 from .schedules import (
     ConstantOverlap,
     ExponentialOverlap,
@@ -32,8 +32,8 @@ from .unitary import EvolutionConfig
 # Below this distance from eta = 1 the closed form divides by a tiny
 # (1-eta)^2 and cancels catastrophically; _weighted_tail switches to phi2.
 CLOSED_FORM_CROSSOVER = 1e-4
-# numeric_limit_probe labels an extrapolated limit within this multiple of
-# V*T^2 of 1 (Zeno) or of 1 - V*T^2 (free evolution).
+# numeric_limit_probe labels an extrapolated coefficient k within this of
+# 0 (Zeno) or of 1 (free evolution).
 PROBE_TOLERANCE = 1e-3
 
 
@@ -47,15 +47,15 @@ class RegimeClassification(Frozen):
     """Asymptotic label plus the coefficient k in lim p_n = 1 - k*V*T^2.
 
     k = 0 for the Zeno regime, k = 1 for free evolution, k in (0,1) for
-    the intermediate family. diagnostics carries (n, criterion value)
-    probe points when produced numerically.
+    the intermediate family; numeric_limit_probe gives its extrapolated k.
+    diagnostics carries (n, criterion value) probe points when produced
+    numerically.
     """
 
     label: Regime
     limit_coefficient: float
     diagnostics: tuple[tuple[int, float], ...] = ()
     converged: bool = True
-    extrapolated_limit: float | None = None
 
     def limit_p(self, V: float, T: float) -> float:
         """The second-order limit 1 - k*V*T^2 of the survival.
@@ -65,11 +65,14 @@ class RegimeClassification(Frozen):
         return 1.0 - self.limit_coefficient * V * T**2
 
 
-def _check_eta_n(eta: float, n: int) -> None:
+def _check_eta_n(eta: float, n: int) -> int:
+    """n as an int, once eta is in [0, 1] and n an integer >= 1."""
     if not 0.0 <= eta <= 1.0:
         raise ValidationError(f"eta must lie in [0, 1], got {eta}")
+    n = as_count("n", n)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    return n
 
 
 def _closed_form_tail(eta: float, n: int) -> float:
@@ -156,7 +159,7 @@ def _zeno_sums(eta: float, n: int) -> Iterator[float]:
 
 def zeno_sum(eta: float, n: int) -> float:
     """S(eta, n) = n/2 + sum_{k=1}^{n-1} (n-k) eta^k."""
-    _check_eta_n(eta, n)
+    n = _check_eta_n(eta, n)
     return n / 2.0 + _weighted_tail(eta, n)
 
 
@@ -166,7 +169,7 @@ def criterion_value(eta: float, n: int) -> float:
     The regime is Zeno iff this tends to 0 as n grows. Identical to
     (zeno_sum(eta, n) - n/2) / n^2.
     """
-    _check_eta_n(eta, n)
+    n = _check_eta_n(eta, n)
     return _weighted_tail(eta, n) / (n * n)
 
 
@@ -179,20 +182,13 @@ def second_order_with_criterion(
     The survival is the second-order expansion, not a probability: it
     leaves [0, 1] when 2*S*V*delta^2 > 1. Warns when V*delta^2 > 0.1.
     """
-    result = _second_order_and_criterion(eta, config)
+    n = _check_eta_n(eta, config.n)
     if config.vd2 > 0.1:
         warnings.warn(
             f"V*delta^2 = {config.vd2:.3g} > 0.1; the second-order formula is "
             "unreliable at this step size",
             stacklevel=2,
         )
-    return result
-
-
-def _second_order_and_criterion(eta: float, config: EvolutionConfig) -> tuple[float, float]:
-    """second_order_with_criterion without its step-size warning."""
-    n = config.n
-    _check_eta_n(eta, n)
     tail = _weighted_tail(eta, n)
     return _second_order(n / 2.0 + tail, config.vd2), tail / (n * n)
 
@@ -290,38 +286,31 @@ def _aitken_accelerate(seq: list[float]) -> tuple[float, bool]:
     return estimates[-1], converged
 
 
-def numeric_limit_probe(
-    schedule: OverlapSchedule, config: EvolutionConfig, n_max: int
-) -> RegimeClassification:
-    """Empirical regime label from extrapolating second-order p_n.
+def numeric_limit_probe(schedule: OverlapSchedule, n_max: int) -> RegimeClassification:
+    """Empirical regime label from extrapolating the coefficient k.
 
-    Evaluates along the powers of two n = 64, 128, ... up to n_max,
-    accelerates the tail, and compares the extrapolated limit with 1 and
-    1 - V*T^2 at tolerance PROBE_TOLERANCE * V*T^2. The step sizes T/n are
-    the probe's own, so a large V*delta^2 at small n is not warned about.
+    Evaluates k_n = 2*S(eta_n, n)/n^2 = (n + 2*S_tail)/n^2, of which the
+    second-order survival is 1 - k_n*V*T^2, along the powers of two
+    n = 64, 128, ... up to n_max, accelerates the tail, and labels the
+    limit k Zeno within PROBE_TOLERANCE of 0, FreeEvolution within it of
+    1 and Intermediate otherwise. Neither V nor T enters.
     """
+    n_max = as_count("n_max", n_max)
     if n_max < 64:
         raise ValidationError(f"n_max must be >= 64, got {n_max}")
     if n_max > sys.maxsize:
         raise CapacityError(f"n_max = {n_max} is above the cap of sys.maxsize = {sys.maxsize}")
-    grid = [2**k for k in range(6, n_max.bit_length())]
     seq = []
     diagnostics = []
-    for n in grid:
-        eta = family_eta(schedule, n)
-        at_n = EvolutionConfig(config.omega, config.T, n)
-        p_so, criterion = _second_order_and_criterion(eta, at_n)
-        seq.append(p_so)
-        diagnostics.append((n, criterion))
-    limit, converged = _aitken_accelerate(seq)
-
-    scale = config.V * config.T**2
-    tol = PROBE_TOLERANCE * scale
-    if abs(limit - 1.0) <= tol:
-        label, k = Regime.ZENO, 0.0
-    elif abs(limit - (1.0 - scale)) <= tol:
-        label, k = Regime.FREE_EVOLUTION, 1.0
+    for n in (2**j for j in range(6, n_max.bit_length())):
+        tail = _weighted_tail(family_eta(schedule, n), n)
+        seq.append((n + 2.0 * tail) / (n * n))
+        diagnostics.append((n, tail / (n * n)))
+    k, converged = _aitken_accelerate(seq)
+    if abs(k) <= PROBE_TOLERANCE:
+        label = Regime.ZENO
+    elif abs(k - 1.0) <= PROBE_TOLERANCE:
+        label = Regime.FREE_EVOLUTION
     else:
         label = Regime.INTERMEDIATE
-        k = (1.0 - limit) / scale if scale > 0 else math.nan
-    return RegimeClassification(label, k, tuple(diagnostics), converged, limit)
+    return RegimeClassification(label, k, tuple(diagnostics), converged)

@@ -22,9 +22,9 @@ import operator
 import os
 import sys
 import warnings
-from typing import NamedTuple
 
 from . import analysis, evolution, physical, register
+from ._frozen import Frozen
 from .errors import CapacityError, UnclassifiableScheduleError, ValidationError, require_read
 from .schedules import SCHEDULE_TYPES, family_eta, schedule_from_dict, schedule_to_dict
 from .unitary import EvolutionConfig
@@ -37,7 +37,7 @@ CONFIG_FIELDS = EvolutionConfig._fields
 REQUIRED = object()
 
 
-class Param(NamedTuple):
+class Param(Frozen):
     """One option: its type (a tuple for a choice), its default (REQUIRED for none) and its help.
 
     The flag is the name with "--" in front and "_" as "-"; the config
@@ -361,10 +361,9 @@ def classify(opts):
     variance = config.V if variance is None else variance
 
     analytic = analysis.classify_schedule(schedule)
-    numeric = analysis.numeric_limit_probe(schedule, config, opts["n_max"])
-    limit_p = analytic.limit_p(variance, t_total)
-    _require_finite([limit_p, numeric.extrapolated_limit],
-                    lambda _: f"for V = {variance!r}, T = {t_total!r}")
+    numeric = analysis.numeric_limit_probe(schedule, opts["n_max"])
+    limit_p, numeric_limit = analytic.limit_p(variance, t_total), numeric.limit_p(variance, t_total)
+    _require_finite([limit_p, numeric_limit], lambda _: f"for V = {variance!r}, T = {t_total!r}")
     record = {
         "schedule": schedule_to_dict(schedule),
         "V": variance,
@@ -376,22 +375,22 @@ def classify(opts):
         },
         "numeric": {
             "label": numeric.label.value,
-            "extrapolated_limit": numeric.extrapolated_limit,
+            "extrapolated_limit": numeric_limit,
             "converged": numeric.converged,
             "diagnostics": numeric.diagnostics,
         },
-        # Labels near a boundary may differ while the limits agree within
-        # the probe's own tolerance.
+        # Labels near a boundary may differ while the coefficients agree
+        # within the probe's own tolerance.
         "agreement": (analytic.label == numeric.label
-                      or abs(limit_p - numeric.extrapolated_limit)
-                      <= analysis.PROBE_TOLERANCE * variance * t_total**2),
+                      or abs(analytic.limit_coefficient - numeric.limit_coefficient)
+                      <= analysis.PROBE_TOLERANCE),
     }
     if opts["format"] == "json":
         return _json(record)
     return _csv(
         ("label", "limit_p", "numeric_label", "numeric_limit", "converged", "agreement"),
         [(analytic.label.value, limit_p, numeric.label.value,
-          numeric.extrapolated_limit, numeric.converged, record["agreement"])],
+          numeric_limit, numeric.converged, record["agreement"])],
     )
 
 

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the one refusal of a
-parameter that nothing reads."""
+"""Exception types shared across the package, the one refusal of a
+parameter that nothing reads, and the one reading of a step count."""
+
+import operator
 
 
 class ValidationError(ValueError):
@@ -20,3 +22,12 @@ def require_read(what: str, read, given) -> None:
     for name in given:
         if name not in read:
             raise ValidationError(f"the {what} does not read {name}")
+
+
+def as_count(name: str, value) -> int:
+    """value as an int, for a step count: an int or a numpy integer, not a
+    float, even an integral one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None

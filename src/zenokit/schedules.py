@@ -16,7 +16,6 @@ import functools
 import itertools
 import math
 from collections.abc import Iterator
-from typing import Union
 
 from ._frozen import Frozen
 from .errors import ValidationError, require_read
@@ -78,7 +77,7 @@ class ExplicitOverlaps(Frozen):
             _check_overlap(f"overlap {i}", o)
 
 
-OverlapSchedule = Union[ConstantOverlap, PowerLawOverlap, ExponentialOverlap, ExplicitOverlaps]
+OverlapSchedule = ConstantOverlap | PowerLawOverlap | ExponentialOverlap | ExplicitOverlaps
 
 
 def family_eta(schedule: OverlapSchedule, n: int) -> float:

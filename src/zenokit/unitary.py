@@ -17,7 +17,7 @@ import math
 import sys
 
 from ._frozen import Frozen
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, as_count
 
 ROW_NORM_TOL = 1e-9
 
@@ -76,6 +76,7 @@ class EvolutionConfig(Frozen):
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_count("n", self.n))
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if self.n > sys.maxsize:

@@ -146,8 +146,8 @@ def test_criterion_4_regime_table_reproduction():
         ))
     worst = 0.0
     for sched, label, target in cases:
-        probe = numeric_limit_probe(sched, cfg, 2**20)
-        err = abs(probe.extrapolated_limit - target)
+        probe = numeric_limit_probe(sched, 2**20)
+        err = abs(probe.limit_p(V, T) - target)
         worst = max(worst, err)
         assert probe.label is label, sched
         assert err <= 1e-3 * scale, (sched, err)

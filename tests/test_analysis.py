@@ -47,6 +47,13 @@ class TestZenoSum:
         with pytest.raises(ValidationError):
             zeno_sum(0.5, 0)
 
+    @pytest.mark.parametrize("fn", [zeno_sum, criterion_value])
+    def test_step_count_is_an_integer(self, fn):
+        for n in (2.5, 3.0):
+            with pytest.raises(ValidationError, match="n must be an integer"):
+                fn(0.5, n)
+        assert fn(0.5, np.int64(4)) == fn(0.5, 4)
+
     @pytest.mark.parametrize("n", [10, 1000, 100000])
     @pytest.mark.parametrize("eta", [0.1, 0.5, 0.9, 0.99, 1 - 1e-4])
     def test_closed_form_agrees_with_compensated_sum(self, eta, n):
@@ -299,26 +306,22 @@ class TestLimitPn:
 
 class TestNumericProbe:
     def test_requires_minimum_grid(self):
-        cfg = EvolutionConfig(omega=1.0, T=0.3, n=64)
         with pytest.raises(ValidationError):
-            numeric_limit_probe(PowerLawOverlap(alpha=1, beta=2), cfg, 32)
+            numeric_limit_probe(PowerLawOverlap(alpha=1, beta=2), 32)
 
     def test_fast_power_law_reaches_free_evolution(self):
-        cfg = EvolutionConfig(omega=1.0, T=0.3, n=64)
-        r = numeric_limit_probe(PowerLawOverlap(alpha=1, beta=2), cfg, 2**20)
+        r = numeric_limit_probe(PowerLawOverlap(alpha=1, beta=2), 2**20)
         assert r.label is Regime.FREE_EVOLUTION
-        assert abs(r.extrapolated_limit - 0.91) <= 1e-3 * 0.09
+        assert abs(r.limit_p(1.0, 0.3) - 0.91) <= 1e-3 * 0.09
 
     def test_intermediate_alpha_one(self):
-        cfg = EvolutionConfig(omega=1.0, T=0.3, n=64)
-        r = numeric_limit_probe(PowerLawOverlap(alpha=1, beta=1), cfg, 2**20)
+        r = numeric_limit_probe(PowerLawOverlap(alpha=1, beta=1), 2**20)
         assert r.label is Regime.INTERMEDIATE
         k = 2 * math.exp(-1.0)
         assert r.limit_coefficient == pytest.approx(k, rel=1e-3)
 
     def test_slow_constant_still_labelled_zeno(self):
-        cfg = EvolutionConfig(omega=1.0, T=0.3, n=64)
-        r = numeric_limit_probe(ConstantOverlap(eta=0.99), cfg, 2**20)
+        r = numeric_limit_probe(ConstantOverlap(eta=0.99), 2**20)
         assert r.label is Regime.ZENO
         assert len(r.diagnostics) == 15
         # slow convergence is visible: criterion values shrink monotonically
@@ -326,10 +329,16 @@ class TestNumericProbe:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_agrees_with_analytic_table_on_grid(self):
-        cfg = EvolutionConfig(omega=1.0, T=0.3, n=64)
         for alpha in (0.5, 1.0, 2.0, 5.0):
             for beta in (0.5, 1.0, 2.0, 3.0):
                 sched = PowerLawOverlap(alpha=alpha, beta=beta)
                 analytic = classify_schedule(sched)
-                numeric = numeric_limit_probe(sched, cfg, 2**18)
+                numeric = numeric_limit_probe(sched, 2**18)
                 assert numeric.label is analytic.label, (alpha, beta)
+
+    def test_n_max_is_an_integer(self):
+        sched = PowerLawOverlap(alpha=1, beta=2)
+        for n_max in (100.5, 4096.0):
+            with pytest.raises(ValidationError, match="n_max must be an integer"):
+                numeric_limit_probe(sched, n_max)
+        assert numeric_limit_probe(sched, np.int64(4096)) == numeric_limit_probe(sched, 4096)

@@ -1088,6 +1088,25 @@ class TestClassify:
         assert r.stderr == ""
         assert json.loads(r.stdout)["numeric"]["label"] == "Zeno"
 
+    @pytest.mark.parametrize("omega", ["0", "1e-9"])
+    @pytest.mark.parametrize("schedule", [
+        ("--eta", "0.5"),
+        ("--eta", "1"),
+        ("--schedule", "power-law", "--alpha", "1", "--beta", "0.5"),
+        ("--schedule", "power-law", "--alpha", "1", "--beta", "1"),
+        ("--schedule", "power-law", "--alpha", "1", "--beta", "2"),
+        ("--schedule", "exponential", "--alpha", "0.7", "--beta", "0.3"),
+    ], ids=["constant", "constant-eta-one", "power-law-zeno", "power-law-intermediate",
+            "power-law-free", "exponential"])
+    def test_numeric_label_holds_at_tiny_variance(self, runner, schedule, omega):
+        # below V*T^2 of about 1e-16 every 1 - k*V*T^2 rounds to 1.0; the
+        # probe labels k, which no V enters
+        r = invoke(runner, "classify", *schedule, "--omega", omega)
+        assert r.exit_code == 0
+        out = json.loads(r.stdout)
+        assert out["numeric"]["label"] == out["analytic"]["label"]
+        assert out["agreement"] is True
+
     def test_tiny_intermediate_alpha_runs(self, runner):
         r = invoke(
             runner, "classify", "--schedule", "power-law", "--alpha", "1e-200",

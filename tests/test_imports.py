@@ -1,5 +1,6 @@
 """zenokit never loads numpy, needs nothing beyond the standard library and
-launches without dataclasses or inspect: each test runs a fresh interpreter."""
+launches without dataclasses, inspect or typing: each test runs a fresh
+interpreter."""
 
 import json
 import os
@@ -130,9 +131,12 @@ sys.stderr.write(json.dumps({"exits": exits, "loaded": loaded}))
 
 def test_commands_run_without_dataclasses_or_inspect():
     # The record types share zenokit._frozen.Frozen: importing dataclasses
-    # would load inspect, ast, dis and tokenize at every launch.
+    # would load inspect, ast, dis and tokenize at every launch. The schedule
+    # union is a PEP 604 union and cli.Param a Frozen record, so nothing
+    # loads typing either.
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(zenokit.__file__).parents[1])}
-    r = subprocess.run([sys.executable, "-S", "-c", LAUNCH_PROBE, "dataclasses", "inspect"],
+    r = subprocess.run([sys.executable, "-S", "-c", LAUNCH_PROBE,
+                        "dataclasses", "inspect", "typing"],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stderr) == {"exits": [0] * 5, "loaded": []}

@@ -42,10 +42,10 @@ RECORDS = [
     (ExplicitOverlaps, ("overlaps",), ((0.5, 0.25 + 0.5j),),
      "ExplicitOverlaps(overlaps=((0.5+0j), (0.25+0.5j)))"),
     (RegimeClassification,
-     ("label", "limit_coefficient", "diagnostics", "converged", "extrapolated_limit"),
-     (Regime.INTERMEDIATE, 0.5, ((64, 0.1),), False, 0.75),
+     ("label", "limit_coefficient", "diagnostics", "converged"),
+     (Regime.INTERMEDIATE, 0.5, ((64, 0.1),), False),
      "RegimeClassification(label=<Regime.INTERMEDIATE: 'Intermediate'>, limit_coefficient=0.5, "
-     "diagnostics=((64, 0.1),), converged=False, extrapolated_limit=0.75)"),
+     "diagnostics=((64, 0.1),), converged=False)"),
     (FreeParticleParams, ("m", "sigma", "hbar"), (1e-26, 1e-10, 1e-34),
      "FreeParticleParams(m=1e-26, sigma=1e-10, hbar=1e-34)"),
     (PointerModelParams, ("v", "sigma", "c_ratio", "T"), (1.0, 2.0, 0.5, 3.0),
@@ -72,7 +72,7 @@ def test_position_and_keyword_build_one_value(cls, names, args, text):
     (FreeEvolutionUnitary(1, 0), "FreeEvolutionUnitary(a=1, b=0, phi=0.0)"),
     (RegimeClassification(Regime.ZENO, 0.0),
      "RegimeClassification(label=<Regime.ZENO: 'Zeno'>, limit_coefficient=0.0, "
-     "diagnostics=(), converged=True, extrapolated_limit=None)"),
+     "diagnostics=(), converged=True)"),
     (FreeParticleParams(1e-26, 1e-10),
      "FreeParticleParams(m=1e-26, sigma=1e-10, hbar=1.054571817e-34)"),
 ], ids=["FreeEvolutionUnitary", "RegimeClassification", "FreeParticleParams"])

@@ -136,6 +136,16 @@ class TestEvolutionConfig:
         with pytest.raises(ValidationError):
             EvolutionConfig(**kwargs)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0])
+    def test_rejects_a_float_step_count(self, n):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            EvolutionConfig(omega=1.0, T=1.0, n=n)
+
+    def test_numpy_step_count_is_read_as_an_int(self):
+        cfg = EvolutionConfig(omega=1.0, T=1.0, n=np.int64(3))
+        assert type(cfg.n) is int
+        assert cfg == EvolutionConfig(omega=1.0, T=1.0, n=3)
+
     def test_coarse_steps_build_silently(self):
         # the step-size warning belongs to the second-order formula alone
         with warnings.catch_warnings():
