@@ -19,7 +19,7 @@ import warnings
 from collections.abc import Iterator
 
 from ._frozen import Frozen
-from .errors import CapacityError, UnclassifiableScheduleError, ValidationError, as_count
+from .errors import UnclassifiableScheduleError, ValidationError, as_count, square
 from .schedules import (
     ConstantOverlap,
     ExponentialOverlap,
@@ -62,17 +62,14 @@ class RegimeClassification(Frozen):
 
         An expansion, not a probability: it is below 0 when k*V*T^2 > 1.
         """
-        return 1.0 - self.limit_coefficient * V * T**2
+        return 1.0 - self.limit_coefficient * V * square(T)
 
 
 def _check_eta_n(eta: float, n: int) -> int:
-    """n as an int, once eta is in [0, 1] and n an integer >= 1."""
+    """n as an int, once eta is in [0, 1] and n a step count (as_count)."""
     if not 0.0 <= eta <= 1.0:
         raise ValidationError(f"eta must lie in [0, 1], got {eta}")
-    n = as_count("n", n)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    return n
+    return as_count("n", n)
 
 
 def _closed_form_tail(eta: float, n: int) -> float:
@@ -98,11 +95,7 @@ def _phi2(x: float) -> float:
         for c in reversed(_PHI2_SERIES):
             y = y * x + c
         return y
-    try:
-        square = x**2
-    except OverflowError:  # float ** raises where * gives inf
-        square = math.inf
-    return math.expm1(x) / square - 1.0 / x
+    return math.expm1(x) / square(x) - 1.0 / x
 
 
 def _weighted_tail(eta: float, n: int) -> float:
@@ -271,11 +264,7 @@ def _aitken_accelerate(seq: list[float]) -> tuple[float, bool]:
             if abs(denom) <= 1e3 * sys.float_info.epsilon * scale:
                 t.append(x2)
             else:
-                try:
-                    square = (x2 - x1) ** 2
-                except OverflowError:  # float ** raises where * gives inf
-                    square = math.inf
-                t.append(x2 - square / denom)
+                t.append(x2 - square(x2 - x1) / denom)
         s = t
         estimates.append(s[-1])
     converged = (
@@ -295,11 +284,7 @@ def numeric_limit_probe(schedule: OverlapSchedule, n_max: int) -> RegimeClassifi
     limit k Zeno within PROBE_TOLERANCE of 0, FreeEvolution within it of
     1 and Intermediate otherwise. Neither V nor T enters.
     """
-    n_max = as_count("n_max", n_max)
-    if n_max < 64:
-        raise ValidationError(f"n_max must be >= 64, got {n_max}")
-    if n_max > sys.maxsize:
-        raise CapacityError(f"n_max = {n_max} is above the cap of sys.maxsize = {sys.maxsize}")
+    n_max = as_count("n_max", n_max, least=64)
     seq = []
     diagnostics = []
     for n in (2**j for j in range(6, n_max.bit_length())):

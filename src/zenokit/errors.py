@@ -1,7 +1,10 @@
-"""Exception types shared across the package, the one refusal of a
-parameter that nothing reads, and the one reading of a step count."""
+"""Exception types shared across the package, and the package's one owner
+of three rules: the refusal of a parameter that nothing reads, the reading
+of a step count, and the square that cannot raise."""
 
+import math
 import operator
+import sys
 
 
 class ValidationError(ValueError):
@@ -24,10 +27,24 @@ def require_read(what: str, read, given) -> None:
             raise ValidationError(f"the {what} does not read {name}")
 
 
-def as_count(name: str, value) -> int:
+def as_count(name: str, value, least: int = 1) -> int:
     """value as an int, for a step count: an int or a numpy integer, not a
-    float, even an integral one."""
+    float, even an integral one; at least `least` and at most sys.maxsize."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    if value > sys.maxsize:
+        raise CapacityError(f"{name} = {value} is above the cap of sys.maxsize = {sys.maxsize}")
+    return value
+
+
+def square(x: float) -> float:
+    """x ** 2, or inf where float ** raises OverflowError (x * x would give
+    inf there, but rounds differently from x ** 2 elsewhere)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf

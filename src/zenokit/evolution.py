@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, as_count
 from .schedules import OverlapSchedule, realize
 from .unitary import FreeEvolutionUnitary
 
@@ -38,8 +38,6 @@ def propagate_projected(
     A value above 1, which the overlaps' 1e-12 modulus slack and rounding
     can both give, is yielded as 1.0.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
     return _projected_survival(U.coefficients, realize(schedule, n))
 
 
@@ -105,8 +103,7 @@ def enumerate_branches(
     rather than sampling. A total above 1 is returned as 1.0, as
     propagate_projected yields it.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = as_count("n", n)
     if n > ORACLE_MAX_STEPS:
         raise CapacityError(
             f"branch oracle sums 2^n words; n = {n} exceeds the "

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from ._frozen import Frozen
-from .errors import ValidationError
+from .errors import ValidationError, square
 from .schedules import PowerLawOverlap
 
 HBAR = 1.054571817e-34  # J*s, CODATA 2018
@@ -109,7 +109,10 @@ def gaussian_pointer_overlap(v: float, delta: float, sigma: float) -> float:
     _require_positive(v=v, sigma=sigma)
     if delta < 0:
         raise ValidationError(f"delta must be >= 0, got {delta}")
-    return math.exp(-((v * delta) ** 2) / sigma**2)
+    x, s = square(v * delta), square(sigma)
+    if not 0.0 < s < math.inf:  # sigma^2 leaves the floats; the ratio need not
+        x, s = square(v * delta / sigma), 1.0
+    return math.exp(-x / s)
 
 
 def gaussian_model_schedule(p: PointerModelParams) -> PowerLawOverlap:

@@ -13,7 +13,7 @@ import math
 import numbers
 
 from ._frozen import Frozen
-from .errors import ValidationError
+from .errors import ValidationError, square
 
 MAX_QUBITS = 12
 _TOL = 1e-12
@@ -39,7 +39,7 @@ class QubitRegister(Frozen):
         amps = _complex_tuple(self.amplitudes, "amplitudes")
         if len(amps) != 2**self.k:
             raise ValidationError(f"expected {2**self.k} amplitudes, got {len(amps)}")
-        norm = sum(abs(z) ** 2 for z in amps)
+        norm = sum(square(abs(z)) for z in amps)
         if not abs(norm - 1.0) <= _TOL:
             raise ValidationError(f"squared norm {norm!r} deviates from 1")
         object.__setattr__(self, "amplitudes", amps)

@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterator
 
 from ._frozen import Frozen
-from .errors import ValidationError, require_read
+from .errors import ValidationError, as_count, require_read
 
 _MODULUS_SLACK = 1e-12
 
@@ -87,8 +87,7 @@ def family_eta(schedule: OverlapSchedule, n: int) -> float:
     math.fsum, which rounds alike on every Python) stands in for it, capped
     at 1, since _check_overlap admits moduli up to 1 + 1e-12.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = as_count("n", n)
     if isinstance(schedule, ConstantOverlap):
         return schedule.eta
     if isinstance(schedule, PowerLawOverlap):
@@ -124,6 +123,7 @@ def realize(schedule: OverlapSchedule, n: int) -> Iterator[complex]:
     The schedule is checked against n when realize is called, not when
     the iterator is read.
     """
+    n = as_count("n", n)
     if isinstance(schedule, ExplicitOverlaps):
         if len(schedule.overlaps) != n:
             raise ValidationError(

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 
 from ._frozen import Frozen
-from .errors import CapacityError, ValidationError, as_count
+from .errors import ValidationError, as_count, square
 
 ROW_NORM_TOL = 1e-9
 
@@ -30,7 +29,7 @@ class FreeEvolutionUnitary(Frozen):
     def __post_init__(self):
         if not math.isfinite(self.phi):
             raise ValidationError(f"phi must be finite, got {self.phi!r}")
-        norm = abs(self.a) ** 2 + abs(self.b) ** 2
+        norm = square(abs(self.a)) + square(abs(self.b))
         if not abs(norm - 1.0) <= ROW_NORM_TOL:
             raise ValidationError(
                 f"|a|^2 + |b|^2 = {norm!r} deviates from 1 by {abs(norm - 1.0):.3e}"
@@ -64,7 +63,7 @@ def make_general_unitary(a: complex, b: complex, phi: float) -> FreeEvolutionUni
     assembled matrix is unitary to machine precision.
     """
     u = FreeEvolutionUnitary(a=complex(a), b=complex(b), phi=float(phi))
-    norm = math.sqrt(abs(u.a) ** 2 + abs(u.b) ** 2)
+    norm = math.sqrt(square(abs(u.a)) + square(abs(u.b)))
     return FreeEvolutionUnitary(a=u.a / norm, b=u.b / norm, phi=u.phi)
 
 
@@ -77,19 +76,11 @@ class EvolutionConfig(Frozen):
 
     def __post_init__(self):
         object.__setattr__(self, "n", as_count("n", self.n))
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if self.n > sys.maxsize:
-            raise CapacityError(f"n = {self.n} is above the cap of sys.maxsize = {sys.maxsize}")
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValidationError(f"T must be finite and > 0, got {self.T}")
         if not (math.isfinite(self.omega) and self.omega >= 0):
             raise ValidationError(f"omega must be finite and >= 0, got {self.omega}")
-        try:
-            vd2 = self.vd2
-        except OverflowError:  # float ** raises where * gives inf
-            vd2 = math.inf
-        if not math.isfinite(vd2):
+        if not math.isfinite(self.vd2):
             raise ValidationError(
                 f"omega = {self.omega!r} and T = {self.T!r} put V = omega^2 or "
                 "V*delta^2 beyond the float range"
@@ -97,7 +88,7 @@ class EvolutionConfig(Frozen):
 
     @property
     def V(self) -> float:
-        return self.omega**2
+        return square(self.omega)
 
     @property
     def delta(self) -> float:
@@ -106,7 +97,7 @@ class EvolutionConfig(Frozen):
     @property
     def vd2(self) -> float:
         """The step weight V*delta^2 of the second order 1 - 2*S*V*delta^2."""
-        return self.V * self.delta**2
+        return self.V * square(self.delta)
 
     def step_unitary(self) -> FreeEvolutionUnitary:
         return make_rabi_unitary(self.omega, self.delta)

@@ -129,7 +129,6 @@ def test_criterion_4_regime_table_reproduction():
     start = time.time()
     V, T = 1.0, 0.3
     scale = V * T**2
-    cfg = EvolutionConfig(omega=math.sqrt(V), T=T, n=64)
     cases = [
         (ConstantOverlap(eta=0.7), Regime.ZENO, 1.0),
         (PowerLawOverlap(alpha=1, beta=0.5), Regime.ZENO, 1.0),

@@ -303,6 +303,11 @@ class TestLimitPn:
         with pytest.raises(ValidationError):
             classify_schedule(ExplicitOverlaps(overlaps=(0.5,))).limit_p(V=1.0, T=1.0)
 
+    def test_t_squared_past_the_float_range_gives_minus_inf(self):
+        # T**2 would raise OverflowError; classify refuses the -inf with exit 2
+        record = classify_schedule(ConstantOverlap(eta=1.0))
+        assert record.limit_p(1.0, 1e155) == -math.inf
+
 
 class TestNumericProbe:
     def test_requires_minimum_grid(self):

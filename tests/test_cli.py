@@ -868,7 +868,8 @@ class TestInvalidInput:
 
 # Every numeric flag's edge values: both zeros, a subnormal, the ends of
 # [0, 1], floats whose square or fourth power overflows, and non-finite ones.
-EDGE_NUMBERS = ("0", "-1", "-0.0", "1e-320", "0.5", "1", "1e154", "1e300", "nan", "inf")
+EDGE_NUMBERS = ("0", "-1", "-0.0", "1e-320", "0.5", "1", "1e154", "1e155", "1e300", "nan",
+                "inf")
 # Step counts past sys.maxsize, the last past the float range as well.
 HUGE_INTS = (str(sys.maxsize + 1), str(10**19), str(10**330))
 # simulate's and sweep's step counts: every one that the chain walks is at most 100.
@@ -907,6 +908,8 @@ def edge_invocations(draw):
 @example(["classify", "--eta", "0.5", "--n-max", str(10**330)], "csv")
 # phi2(-alpha) squares alpha past the float range
 @example(["classify", "--schedule", "power-law", "--alpha", "1e300", "--beta", "1"], "csv")
+# T^2 in 1 - k*V*T^2 past the float range, with T/64 inside it
+@example(["classify", "--eta", "0.5", "--omega", "0", "--T", "1e155"], "csv")
 def test_edge_numbers_never_give_a_traceback(args, fmt):
     r = invoke(CliRunner(), *args, "--format", fmt)
     assert r.exit_code in (0, 2, 3), (r.output, r.exception)
@@ -1079,6 +1082,19 @@ class TestClassify:
         # the probe's own step sizes are not warned about
         assert r.stderr == ("error: survival is not finite for V = 1e+300, T = 100000.0; "
                             "no rows printed\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("args", [
+        ("--omega", "0", "--eta", "0.5"),
+        ("--omega", "1", "--schedule", "power-law", "--alpha", "1", "--beta", "1"),
+    ])
+    def test_t_squared_past_the_float_range_is_refused(self, runner, args, fmt):
+        # T/64 passes EvolutionConfig, but T^2 in 1 - k*V*T^2 leaves the floats
+        r = invoke(runner, "classify", "--T", "1e155", *args, "--format", fmt)
+        assert r.exit_code == 2, r.exception
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: survival is not finite for V = ")
+        assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
 
     def test_probe_step_sizes_are_not_warned_about(self):
         # V*delta^2 = 1000/64^2 > 0.1 at the probe's first n = 64

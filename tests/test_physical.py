@@ -94,6 +94,21 @@ class TestGaussianPointer:
         assert all(a < b for a, b in zip(vals_sigma, vals_sigma[1:]))
         assert all(0 < x <= 1 for x in vals_delta + vals_v + vals_sigma)
 
+    def test_displacement_past_the_float_range_gives_zero(self):
+        assert gaussian_pointer_overlap(1e200, 1.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("v, sigma", [(1e200, 1e200), (3e200, 1e200), (1e200, 1e160),
+                                          (1e-200, 1e-200), (1e-100, 1e-200)])
+    def test_width_past_the_float_range_still_gives_an_overlap(self, v, sigma):
+        value = gaussian_pointer_overlap(v, 1.0, sigma)
+        assert 0.0 <= value <= 1.0
+        assert value == pytest.approx(math.exp(-((v / sigma) ** 2)))
+
+    @given(st.floats(1e-100, 1e100), st.floats(0.0, 1e50), st.floats(1e-100, 1e100))
+    def test_in_range_inputs_keep_their_bits(self, v, delta, sigma):
+        expected = math.exp(-((v * delta) ** 2) / sigma**2)
+        assert repr(gaussian_pointer_overlap(v, delta, sigma)) == repr(expected)
+
     def test_schedule_parameters(self):
         sched = gaussian_model_schedule(
             PointerModelParams(v=1.0, sigma=1.0, c_ratio=1.0, T=1.0)

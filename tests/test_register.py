@@ -51,6 +51,7 @@ class TestQubitRegister:
         [0.5, 0.5, 0.5, 0.6],  # not normalised
         [math.nan, 0, 0, 0],
         [math.inf, 0, 0, 0],
+        [1e200, 0, 0, 0],  # |z|^2 past the float range
     ])
     def test_rejects_malformed_amplitudes(self, amplitudes):
         with pytest.raises(ValidationError):

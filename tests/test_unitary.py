@@ -76,6 +76,16 @@ def test_general_unitary_rejects_non_finite(a):
         make_general_unitary(a, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: FreeEvolutionUnitary(a=1e200, b=0j),
+    lambda: make_general_unitary(1e200, 0, 0),
+], ids=["FreeEvolutionUnitary", "make_general_unitary"])
+def test_norm_past_the_float_range_is_refused(build):
+    # |a|^2 overflows; it reads as inf rather than raising OverflowError
+    with pytest.raises(ValidationError, match="deviates"):
+        build()
+
+
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("build", [make_general_unitary, FreeEvolutionUnitary])
 def test_non_finite_phi_is_refused(build, phi):
