@@ -25,7 +25,7 @@ import warnings
 
 from . import analysis, evolution, physical, register
 from ._frozen import Frozen
-from .errors import CapacityError, UnclassifiableScheduleError, ValidationError, require_read
+from .errors import CapacityError, UnclassifiableScheduleError, ValidationError, require_read, square
 from .schedules import SCHEDULE_TYPES, family_eta, schedule_from_dict, schedule_to_dict
 from .unitary import EvolutionConfig
 
@@ -359,6 +359,8 @@ def classify(opts):
     omega = opts["omega"] if variance is None else math.sqrt(variance)
     config = EvolutionConfig(omega=omega, T=t_total, n=64)
     variance = config.V if variance is None else variance
+    if square(t_total) == math.inf:
+        raise ValidationError(f"T = {t_total!r} puts T^2 in 1 - k*V*T^2 past the float range")
 
     analytic = analysis.classify_schedule(schedule)
     numeric = analysis.numeric_limit_probe(schedule, opts["n_max"])

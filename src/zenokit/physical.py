@@ -107,12 +107,9 @@ def gaussian_pointer_overlap(v: float, delta: float, sigma: float) -> float:
     """Overlap exp(-(v*delta)^2 / sigma^2) of two Gaussian pointer states
     displaced by +-v*delta. Quadratic in delta for v*delta << sigma."""
     _require_positive(v=v, sigma=sigma)
-    if delta < 0:
+    if not delta >= 0:
         raise ValidationError(f"delta must be >= 0, got {delta}")
-    x, s = square(v * delta), square(sigma)
-    if not 0.0 < s < math.inf:  # sigma^2 leaves the floats; the ratio need not
-        x, s = square(v * delta / sigma), 1.0
-    return math.exp(-x / s)
+    return math.exp(-square(v * delta / sigma))
 
 
 def gaussian_model_schedule(p: PointerModelParams) -> PowerLawOverlap:

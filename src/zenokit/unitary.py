@@ -63,7 +63,7 @@ def make_general_unitary(a: complex, b: complex, phi: float) -> FreeEvolutionUni
     assembled matrix is unitary to machine precision.
     """
     u = FreeEvolutionUnitary(a=complex(a), b=complex(b), phi=float(phi))
-    norm = math.sqrt(square(abs(u.a)) + square(abs(u.b)))
+    norm = math.sqrt(abs(u.a) ** 2 + abs(u.b) ** 2)
     return FreeEvolutionUnitary(a=u.a / norm, b=u.b / norm, phi=u.phi)
 
 
