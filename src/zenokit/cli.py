@@ -25,15 +25,14 @@ import warnings
 
 from . import analysis, evolution, physical, register
 from ._frozen import Frozen
-from .errors import CapacityError, UnclassifiableScheduleError, ValidationError, require_read, square
+from .errors import CapacityError, ValidationError, require_read, square
 from .schedules import SCHEDULE_TYPES, family_eta, schedule_from_dict, schedule_to_dict
+from .sweep import CONFIG_FIELDS, SweepRow, parse_grid, sweep_rows
 from .unitary import EvolutionConfig
 
-SWEEP_POINT_CAP = 10**6
 # simulate formats, checks and writes its rows this many at a time, so its
 # memory does not grow with n.
 ROW_CHUNK = 4096
-CONFIG_FIELDS = EvolutionConfig._fields
 REQUIRED = object()
 
 
@@ -87,7 +86,6 @@ BOOLEAN_WORDS = {**dict.fromkeys(("1", "true", "t", "yes", "y", "on"), True),
 SCHEDULE_FIELDS = tuple(dict.fromkeys(  # each schedule type's fields, each once
     name for cls in SCHEDULE_TYPES.values() for name in cls._fields))
 SCHEDULE_OPTIONS = ("schedule", *SCHEDULE_FIELDS)
-SWEEP_PARAMS = (*CONFIG_FIELDS, *(f for f in SCHEDULE_FIELDS if f != "overlaps"))
 
 
 def _read_config(path, command, names):
@@ -396,65 +394,6 @@ def classify(opts):
     )
 
 
-def _grid_number(text, name, kind=float):
-    try:
-        value = kind(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValidationError(f"grid for {name}: {text!r} is not a finite {kind.__name__}")
-    return value
-
-
-def _linspace(start, stop, count):
-    """count values from start to stop, i*step + start, the last set to stop."""
-    div, delta = max(count - 1, 1), stop - start
-    step = delta / div  # 0 for an empty or subnormal span: then divide first
-    values = [(i * step if step else i / div * delta) + start for i in range(count)]
-    return values[:-1] + [stop] if count > 1 else values
-
-
-def _parse_grid(spec):
-    if "=" not in spec:
-        raise ValidationError(f"grid must look like param=values, got {spec!r}")
-    name, _, body = spec.partition("=")
-    name = name.strip()
-    if name not in SWEEP_PARAMS:
-        raise ValidationError(f"cannot sweep {name!r}; choose from {', '.join(SWEEP_PARAMS)}")
-    body = body.strip()
-    if body.startswith("lin:") or body.startswith("geom:"):
-        scheme, *parts = body.split(":")
-        if len(parts) != 3:
-            raise ValidationError(f"{scheme} grid needs start:stop:count, got {body!r}")
-        start, stop = _grid_number(parts[0], name), _grid_number(parts[1], name)
-        count = _grid_number(parts[2], name, int)
-        if count < 1:
-            raise ValidationError(f"grid count must be >= 1, got {count}")
-        if count > SWEEP_POINT_CAP:
-            raise CapacityError(
-                f"grid for {name} has {count} points, above the cap of {SWEEP_POINT_CAP}"
-            )
-        if scheme == "lin":
-            values = _linspace(start, stop, count)
-        elif start <= 0 or stop <= 0:
-            raise ValidationError("geom grid endpoints must be positive")
-        else:  # the exponents spaced alike, the endpoints kept exact
-            inner = _linspace(math.log10(start), math.log10(stop), count)[1:-1]
-            try:
-                values = [start, *(10.0**x for x in inner), stop][:count]
-            except OverflowError:  # 10^x past the float max: refused below
-                values = [math.inf]
-    else:
-        values = [_grid_number(v, name) for v in body.split(",") if v.strip()]
-    if not values:
-        raise ValidationError(f"grid for {name} is empty")
-    if not all(map(math.isfinite, values)):
-        raise ValidationError(f"grid for {name} leaves the float range: {body!r}")
-    if name == "n":
-        values = [int(round(v)) for v in values]
-    return name, sorted(set(values))
-
-
 @_command("sweep", "grid", "omega", "T", "n", *SCHEDULE_OPTIONS, "format", "output", "config",
           format="csv")
 def sweep(opts):
@@ -462,18 +401,9 @@ def sweep(opts):
 
     Rows are ordered lexicographically by grid point.
     """
-    grids = opts["grid"]
-    if not grids:
+    if not opts["grid"]:
         raise ValidationError("no grid given; pass --grid at least once")
-    if len(grids) > 2:
-        raise ValidationError("at most two grid parameters are supported")
-    grid = dict(map(_parse_grid, grids))  # name -> its sorted values
-    if len(grid) != len(grids):
-        raise ValidationError(f"duplicate grid parameter {next(iter(grid))!r}")
-    total = math.prod(map(len, grid.values()))
-    if total > SWEEP_POINT_CAP:
-        raise CapacityError(f"grid has {total} points, above the cap of {SWEEP_POINT_CAP}")
-
+    grid = parse_grid(opts["grid"])  # name -> its sorted values
     fields = opts.schedule()
     for name in grid:
         if opts.given(name) or name in fields:
@@ -481,40 +411,17 @@ def sweep(opts):
     if fields.get("type") == "constant":
         fields.setdefault("eta", 1.0)
 
-    # A schedule depends only on the point's schedule values, so it is
-    # built once per distinct set of them: once in all when none is swept.
-    @functools.cache
-    def schedule_for(swept):
-        schedule = schedule_from_dict({**fields, **dict(swept)})
-        try:
-            regime = analysis.classify_schedule(schedule).label.value
-        except UnclassifiableScheduleError:
-            regime = "numeric-only"
-        return schedule, regime
-
-    # The grid's own values replace these in each point's config.
-    base = {k: opts[k] for k in CONFIG_FIELDS if k not in grid}
-    rows = []
-    for combo in itertools.product(*grid.values()):
-        point = tuple(zip(grid, combo))
-        config = EvolutionConfig(**base, **{k: v for k, v in point if k in CONFIG_FIELDS})
-        swept = tuple((k, v) for k, v in point if k not in CONFIG_FIELDS)
-        schedule, regime = schedule_for(swept)
-        # Only the last survival value is kept: the deque drops the others.
-        p_exact = collections.deque(evolution.propagate_projected(
-            config.step_unitary(), schedule, config.n), maxlen=1).pop()
-        eta = family_eta(schedule, config.n)
-        p_so, criterion = analysis.second_order_with_criterion(eta, config)
-        _require_finite(
-            (eta, p_exact, p_so, criterion),
-            lambda _: "at grid point " + ", ".join(f"{k} = {v!r}" for k, v in point),
-        )
-        rows.append((config.n, eta, p_exact, p_so, criterion, regime))
-
-    header = ("n", "eta_n", "p_exact", "p_second_order", "criterion", "regime")
+    # The grid's own values replace the others in each point's run.
+    rows = sweep_rows(grid, {k: opts[k] for k in CONFIG_FIELDS if k not in grid}, fields)
+    table = []
+    for point, row in zip(itertools.product(*grid.values()), rows):
+        values = row._values()
+        _require_finite(values[1:5], lambda _: "at grid point " + ", ".join(
+            f"{k} = {v!r}" for k, v in zip(grid, point)))
+        table.append(values)
     if opts["format"] == "json":
-        return _json([dict(zip(header, r)) for r in rows])
-    return _csv(header, rows)
+        return _json([dict(zip(SweepRow._fields, values)) for values in table])
+    return _csv(SweepRow._fields, table)
 
 
 PHYSICAL_MODELS = {

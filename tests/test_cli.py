@@ -34,6 +34,7 @@ from zenokit import (
     family_eta,
     propagate_projected,
     schedule_to_dict,
+    sweep,
 )
 from zenokit.cli import main
 
@@ -1203,7 +1204,7 @@ class TestSweep:
     def test_lin_grid_is_numpy_linspace(self, start, stop, count):
         with np.errstate(all="ignore"):
             expected = np.linspace(start, stop, count).tolist()
-        assert list(map(repr, cli._linspace(start, stop, count))) == list(map(repr, expected))
+        assert list(map(repr, sweep._linspace(start, stop, count))) == list(map(repr, expected))
 
     @settings(deadline=None)
     @given(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300), st.integers(1, 300))
@@ -1215,12 +1216,12 @@ class TestSweep:
         # math.log10 of the endpoints, which may differ from numpy.log10 by an
         # ulp; that moves 10^x by a factor of up to 10^gap. Where the two
         # log10s agree, only 10^x (libm's pow, numpy's power) differs, by an ulp.
-        _, values = cli._parse_grid(f"omega=geom:{start!r}:{stop!r}:{count}")
+        _, values = sweep._parse_grid(f"omega=geom:{start!r}:{stop!r}:{count}")
         with np.errstate(all="ignore"):
             expected = sorted(set(np.geomspace(start, stop, count).tolist()))
             their_exponents = np.linspace(np.log10(start), np.log10(stop), count).tolist()
         assert start in values and (stop in values or count == 1)
-        gap = max(map(abs, map(operator.sub, their_exponents, cli._linspace(
+        gap = max(map(abs, map(operator.sub, their_exponents, sweep._linspace(
             math.log10(start), math.log10(stop), count))))
 
         def near(x, y):
@@ -1240,13 +1241,13 @@ class TestSweep:
     @pytest.fixture
     def builds(self, monkeypatch):
         calls = collections.Counter()
-        original = cli.schedule_from_dict
+        original = sweep.schedule_from_dict
 
         def counted(*args):
             calls["build"] += 1
             return original(*args)
 
-        monkeypatch.setattr(cli, "schedule_from_dict", counted)
+        monkeypatch.setattr(sweep, "schedule_from_dict", counted)
         return calls
 
     def test_fixed_schedule_is_built_once(self, runner, builds):
