@@ -34,6 +34,7 @@ from zenokit import (
     family_eta,
     propagate_projected,
     schedule_to_dict,
+    schedules,
     sweep,
 )
 from zenokit.cli import main
@@ -294,9 +295,11 @@ class TestSimulate:
         assert r.exit_code == s.exit_code == 0
         doc, point = json.loads(r.stdout), json.loads(s.stdout)[0]
         last, summary = doc["series"][-1], doc["summary"]
+        row, = sweep.sweep_rows(sweep.parse_grid([f"eta={eta}"]),
+                                {"omega": 0.7, "T": 0.9, "n": 1000}, {"type": "constant"})
         for key in ("p_exact", "p_second_order"):
-            assert last[key] == summary[key] == point[key]
-        assert summary["criterion"] == point["criterion"]
+            assert last[key] == summary[key] == point[key] == getattr(row, key)
+        assert summary["criterion"] == point["criterion"] == row.criterion
 
     def test_basic_run_values(self, runner):
         r = invoke(
@@ -1388,6 +1391,70 @@ class TestSweep:
         args = ("sweep", "--grid", "eta=lin:0:1:7", "--grid", "n=2,5,9",
                 "--omega", "0.8", "--T", "0.4")
         assert invoke(runner, *args).output == invoke(runner, *args).output
+
+    @pytest.mark.parametrize("args,specs,config,schedule", [
+        (("--n", "100"), ("eta=lin:0.3:0.99:5", "omega=0.2,0.5"),
+         {"T": 1.0, "n": 100}, {"type": "constant"}),
+        (("--schedule", "power-law", "--alpha", "1.2", "--beta", "2"), ("n=geom:16:4096:5",),
+         {"omega": 1.0, "T": 1.0}, {"type": "power-law", "alpha": 1.2, "beta": 2.0}),
+        (("--schedule", "explicit", "--overlaps", "0.9+0.1j,0.85,0.8-0.2j,0.95,0.7+0.3j",
+          "--n", "5", "--T", "0.8"), ("omega=lin:0.1:0.9:7",), {"T": 0.8, "n": 5},
+         {"type": "explicit", "overlaps": [[0.9, 0.1], 0.85, [0.8, -0.2], 0.95, [0.7, 0.3]]}),
+    ], ids=["constant-2d", "power-law-n", "explicit"])
+    def test_library_rows_are_the_cli_rows(self, runner, args, specs, config, schedule):
+        r = invoke(runner, "sweep", *args, *(x for spec in specs for x in ("--grid", spec)),
+                   "--format", "json")
+        assert r.exit_code == 0, r.output
+        printed = json.loads(r.stdout)
+        rows = list(sweep.sweep_rows(sweep.parse_grid(specs), config, schedule))
+        assert all(list(point) == list(sweep.SweepRow._fields) for point in printed)
+        assert repr([row._values() for row in rows]) == repr(
+            [tuple(point.values()) for point in printed])
+
+    def test_library_yields_a_non_finite_row(self):
+        # the CLI refuses this grid's second point (exit 2, above)
+        grid = sweep.parse_grid(["omega=1,1e150"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = list(sweep.sweep_rows(grid, {"T": 2e4, "n": 2}, {"type": "constant", "eta": 0.5}))
+        assert [math.isfinite(row.p_second_order) for row in rows] == [True, False]
+
+    def test_traced_functions_are_called_through_their_modules(self, runner, monkeypatch):
+        # zenobench times a sweep by patching these module attributes. The
+        # stand-in chain walks no step, so realize's own family_eta call is not counted.
+        calls = collections.Counter()
+        original = schedules.family_eta
+
+        def counted_eta(*a):
+            calls["family_eta"] += 1
+            return original(*a)
+
+        def counted_chain(step, schedule, n):
+            calls["propagate_projected"] += 1
+            return iter([0.5])
+
+        monkeypatch.setattr(schedules, "family_eta", counted_eta)
+        monkeypatch.setattr(evolution, "propagate_projected", counted_chain)
+        r = invoke(runner, "sweep", "--grid", "eta=0.3,0.8", "--grid", "omega=0.4,0.6,0.9",
+                   "--T", "0.6", "--n", "20")
+        assert r.exit_code == 0
+        assert calls == {"family_eta": 6, "propagate_projected": 6}
+
+    def test_step_count_past_sys_maxsize_is_refused_before_any_point_runs(self, runner,
+                                                                          monkeypatch):
+        points = collections.Counter()
+        original = evolution.propagate_projected
+
+        def counted(*a):
+            points["run"] += 1
+            return original(*a)
+
+        monkeypatch.setattr(evolution, "propagate_projected", counted)
+        r = invoke(runner, "sweep", "--grid", "n=3000000,1e19", "--eta", "0.5")
+        assert r.exit_code == 3
+        assert r.stdout == ""
+        assert f"error: n = {10**19} is above the cap of sys.maxsize = {sys.maxsize}" in r.stderr
+        assert points["run"] == 0
 
 
 
