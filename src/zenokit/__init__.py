@@ -3,10 +3,12 @@
 from .analysis import (
     Regime,
     RegimeClassification,
+    RegimeReport,
     classify_schedule,
     criterion_value,
     intermediate_coefficient,
     numeric_limit_probe,
+    regime_report,
     second_order_with_criterion,
     zeno_sum,
 )

@@ -206,10 +206,12 @@ def second_order_series(eta: float, config: EvolutionConfig) -> Iterator[float]:
     """second_order_partial(eta, config, i) for i = 1..n in one O(n) pass.
 
     Returns an iterator that computes one row per value; eta and n are
-    checked before it is returned. Equal to the scalar values bit for bit
-    where the closed form applies (and at eta = 1, where both are exact);
-    within CLOSED_FORM_CROSSOVER of eta = 1 a row may differ by a few
-    ulps. The rows never increase in i: each adds a non-negative term.
+    checked before it is returned. The rows never increase in i: each adds a
+    non-negative term. They equal the scalar values bit for bit where the
+    closed form applies and at eta = 1. Within CLOSED_FORM_CROSSOVER of eta = 1
+    a row may differ from its scalar value by a few 2^-52, and so simulate's
+    summary, the last row, from sweep's p_second_order, the O(1) tail's value.
+    Both are kept: one algorithm for both costs about 8x on such rows.
     """
     _check_eta_n(eta, config.n)
     return map(_second_order, _zeno_sums(eta, config.n), itertools.repeat(config.vd2))
@@ -299,3 +301,32 @@ def numeric_limit_probe(schedule: OverlapSchedule, n_max: int) -> RegimeClassifi
     else:
         label = Regime.INTERMEDIATE
     return RegimeClassification(label, k, tuple(diagnostics), converged)
+
+
+class RegimeReport(Frozen):
+    """classify's verdict at V and T: both classifications, the limit 1 - k*V*T^2 of
+    each (kept if not finite, for the caller to refuse) and whether they agree."""
+
+    analytic: RegimeClassification
+    numeric: RegimeClassification
+    limit_p: float
+    numeric_limit: float
+    agreement: bool
+
+
+def regime_report(schedule: OverlapSchedule, V: float, T: float,
+                  n_max: int = 2**20) -> RegimeReport:
+    """classify_schedule and numeric_limit_probe(schedule, n_max), their limits at V and T,
+    and agreement: equal labels or, near a regime boundary, coefficients k within
+    PROBE_TOLERANCE. V must be finite and >= 0, T finite and > 0 with T^2 finite."""
+    if not (math.isfinite(V) and V >= 0):
+        raise ValidationError(f"V must be finite and >= 0, got {V}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValidationError(f"T must be finite and > 0, got {T}")
+    if square(T) == math.inf:
+        raise ValidationError(f"T = {T!r} puts T^2 in 1 - k*V*T^2 past the float range")
+    analytic = classify_schedule(schedule)
+    numeric = numeric_limit_probe(schedule, n_max)
+    k_gap = abs(analytic.limit_coefficient - numeric.limit_coefficient)
+    return RegimeReport(analytic, numeric, analytic.limit_p(V, T), numeric.limit_p(V, T),
+                        analytic.label == numeric.label or k_gap <= PROBE_TOLERANCE)

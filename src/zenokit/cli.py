@@ -25,7 +25,7 @@ import warnings
 
 from . import analysis, evolution, physical, register
 from ._frozen import Frozen
-from .errors import CapacityError, ValidationError, require_read, square
+from .errors import CapacityError, ValidationError, require_read
 from .schedules import SCHEDULE_TYPES, family_eta, schedule_from_dict, schedule_to_dict
 from .sweep import CONFIG_FIELDS, SweepRow, parse_grid, sweep_rows
 from .unitary import EvolutionConfig
@@ -56,7 +56,8 @@ PARAMS = {
     "T": Param(float, 1.0, "Total duration."),
     "n": Param(int, 1, "Number of steps."),
     "V": Param(float, None, "Hamiltonian variance; omega^2 if --omega is given instead."),
-    "n_max": Param(int, 2**20, "Largest n probed numerically (default 2^20)."),
+    "n_max": Param(int, analysis.regime_report.__defaults__[-1],  # the library's default
+                   "Largest n probed numerically (default 2^20)."),
     "oracle": Param(bool, False, "Cross-check against the branch-word oracle "
                                  f"(n <= {evolution.ORACLE_MAX_STEPS})."),
     "schedule": Param(tuple(SCHEDULE_TYPES), "constant", "Overlap schedule family."),
@@ -350,47 +351,36 @@ def classify(opts):
     """Analytic regime of a schedule family, with a numeric cross-check."""
     schedule = schedule_from_dict(opts.schedule())
     variance, t_total = opts["V"], opts["T"]
-    if variance is not None and opts.given("omega"):
+    if variance is None:  # EvolutionConfig is the one check of omega
+        variance = EvolutionConfig(omega=opts["omega"], T=t_total, n=64).V
+    elif opts.given("omega"):
         raise ValidationError("give V or omega, not both")
-    if variance is not None and not (math.isfinite(variance) and variance >= 0):
-        raise ValidationError(f"V must be finite and >= 0, got {variance}")
-    omega = opts["omega"] if variance is None else math.sqrt(variance)
-    config = EvolutionConfig(omega=omega, T=t_total, n=64)
-    variance = config.V if variance is None else variance
-    if square(t_total) == math.inf:
-        raise ValidationError(f"T = {t_total!r} puts T^2 in 1 - k*V*T^2 past the float range")
-
-    analytic = analysis.classify_schedule(schedule)
-    numeric = analysis.numeric_limit_probe(schedule, opts["n_max"])
-    limit_p, numeric_limit = analytic.limit_p(variance, t_total), numeric.limit_p(variance, t_total)
-    _require_finite([limit_p, numeric_limit], lambda _: f"for V = {variance!r}, T = {t_total!r}")
+    report = analysis.regime_report(schedule, variance, t_total, opts["n_max"])
+    _require_finite([report.limit_p, report.numeric_limit],
+                    lambda _: f"for V = {variance!r}, T = {t_total!r}")
     record = {
         "schedule": schedule_to_dict(schedule),
         "V": variance,
         "T": t_total,
         "analytic": {
-            "label": analytic.label.value,
-            "limit_coefficient": analytic.limit_coefficient,
-            "limit_p": limit_p,
+            "label": report.analytic.label.value,
+            "limit_coefficient": report.analytic.limit_coefficient,
+            "limit_p": report.limit_p,
         },
         "numeric": {
-            "label": numeric.label.value,
-            "extrapolated_limit": numeric_limit,
-            "converged": numeric.converged,
-            "diagnostics": numeric.diagnostics,
+            "label": report.numeric.label.value,
+            "extrapolated_limit": report.numeric_limit,
+            "converged": report.numeric.converged,
+            "diagnostics": report.numeric.diagnostics,
         },
-        # Labels near a boundary may differ while the coefficients agree
-        # within the probe's own tolerance.
-        "agreement": (analytic.label == numeric.label
-                      or abs(analytic.limit_coefficient - numeric.limit_coefficient)
-                      <= analysis.PROBE_TOLERANCE),
+        "agreement": report.agreement,
     }
     if opts["format"] == "json":
         return _json(record)
     return _csv(
         ("label", "limit_p", "numeric_label", "numeric_limit", "converged", "agreement"),
-        [(analytic.label.value, limit_p, numeric.label.value,
-          numeric_limit, numeric.converged, record["agreement"])],
+        [(report.analytic.label.value, report.limit_p, report.numeric.label.value,
+          report.numeric_limit, report.numeric.converged, report.agreement)],
     )
 
 
@@ -408,7 +398,7 @@ def sweep(opts):
     for name in grid:
         if opts.given(name) or name in fields:
             raise ValidationError(f"{name} is swept by --grid and also given; give it once")
-    if fields.get("type") == "constant":
+    if fields.get("type") == "constant" and "eta" not in grid:
         fields.setdefault("eta", 1.0)
 
     # The grid's own values replace the others in each point's run.

@@ -109,8 +109,12 @@ def parse_grid(specs):
 def sweep_rows(grid, config, schedule):
     """The SweepRow of each point of grid, in lexicographic order. config holds
     the EvolutionConfig fields that grid does not sweep, schedule the other
-    schedule fields in schedule_to_dict's form. A row that is not finite is
-    yielded as it is, for the caller to refuse."""
+    schedule fields in schedule_to_dict's form; a swept name in either raises
+    ValidationError at the first row, before any point runs. A row that is not
+    finite is yielded as it is, for the caller to refuse."""
+    for name in grid:
+        if name in config or name in schedule:
+            raise ValidationError(f"{name} is swept by the grid and also given; give it once")
     # A schedule depends only on the point's schedule values, so it is
     # built once per distinct set of them: once in all when none is swept.
     @functools.cache

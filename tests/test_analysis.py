@@ -17,13 +17,18 @@ from zenokit import (
     classify_schedule,
     criterion_value,
     intermediate_coefficient,
+    RegimeClassification,
+    RegimeReport,
     numeric_limit_probe,
+    regime_report,
     second_order_with_criterion,
     zeno_sum,
 )
+from zenokit import analysis
 from zenokit.analysis import (
     CLOSED_FORM_CROSSOVER,
     INTERMEDIATE_SERIES_CUT,
+    PROBE_TOLERANCE,
     second_order_partial,
     second_order_series,
 )
@@ -347,3 +352,62 @@ class TestNumericProbe:
             with pytest.raises(ValidationError, match="n_max must be an integer"):
                 numeric_limit_probe(sched, n_max)
         assert numeric_limit_probe(sched, np.int64(4096)) == numeric_limit_probe(sched, 4096)
+
+
+class TestRegimeReport:
+    def test_fields_are_the_two_classifications_and_their_limits(self):
+        sched = PowerLawOverlap(alpha=2, beta=1)
+        r = regime_report(sched, 1.0, 0.5, 4096)
+        analytic, numeric = classify_schedule(sched), numeric_limit_probe(sched, 4096)
+        assert r == RegimeReport(analytic, numeric, analytic.limit_p(1.0, 0.5),
+                                 numeric.limit_p(1.0, 0.5), True)
+
+    def test_n_max_defaults_to_two_to_the_twenty(self):
+        sched = ConstantOverlap(eta=0.5)
+        assert regime_report(sched, 1.0, 1.0) == regime_report(sched, 1.0, 1.0, 2**20)
+
+    @pytest.mark.parametrize("V,T,text", [
+        (-1.0, 1.0, "V must be finite and >= 0, got -1.0"),
+        (math.nan, 1.0, "V must be finite and >= 0, got nan"),
+        (math.inf, 1.0, "V must be finite and >= 0, got inf"),
+        (1.0, 0.0, "T must be finite and > 0, got 0.0"),
+        (1.0, -1.0, "T must be finite and > 0, got -1.0"),
+        (1.0, math.inf, "T must be finite and > 0, got inf"),
+        (1.0, 1e155, "T = 1e+155 puts T^2 in 1 - k*V*T^2 past the float range"),
+        (0.0, 1e200, "T = 1e+200 puts T^2 in 1 - k*V*T^2 past the float range"),
+    ])
+    def test_refuses_v_and_t_as_classify_does(self, V, T, text):
+        with pytest.raises(ValidationError) as info:
+            regime_report(ConstantOverlap(eta=0.5), V, T, 64)
+        assert str(info.value) == text
+
+    def test_t_squared_past_the_float_range_is_refused_not_nan(self):
+        # the record alone gives 1 - 0*V*inf = nan
+        assert math.isnan(classify_schedule(ConstantOverlap(eta=0.5)).limit_p(1.0, 1e155))
+        with pytest.raises(ValidationError, match="past the float range"):
+            regime_report(ConstantOverlap(eta=0.5), 1.0, 1e155)
+
+    def test_explicit_schedule_is_numeric_only(self):
+        with pytest.raises(UnclassifiableScheduleError, match="numeric-only"):
+            regime_report(ExplicitOverlaps(overlaps=(0.9, 0.8)), 1.0, 1.0, 64)
+
+    def test_non_finite_limit_is_returned_for_the_caller(self):
+        r = regime_report(ConstantOverlap(eta=1.0), 1e300, 1e5, 4096)
+        assert r.limit_p == -math.inf
+
+    def test_labels_apart_agree_when_the_coefficients_are_close(self):
+        # alpha = 1e-200 gives Intermediate with k = 1.0; the probe says FreeEvolution
+        r = regime_report(PowerLawOverlap(alpha=1e-200, beta=1), 1.0, 1.0, 64)
+        assert r.analytic.label is Regime.INTERMEDIATE
+        assert r.numeric.label is Regime.FREE_EVOLUTION
+        assert r.agreement is True
+
+    @pytest.mark.parametrize("k,agreement", [
+        (PROBE_TOLERANCE, True), (math.nextafter(PROBE_TOLERANCE, 1.0), False)])
+    def test_labels_apart_disagree_past_the_probe_tolerance(self, monkeypatch, k, agreement):
+        # the probe is read as analysis's module attribute, so a stand-in replaces it
+        monkeypatch.setattr(analysis, "numeric_limit_probe",
+                            lambda schedule, n_max: RegimeClassification(Regime.INTERMEDIATE, k))
+        r = regime_report(ConstantOverlap(eta=0.5), 1.0, 1.0, 64)
+        assert r.analytic.label is Regime.ZENO
+        assert r.agreement is agreement

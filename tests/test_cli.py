@@ -26,6 +26,7 @@ from zenokit import (
     EvolutionConfig,
     ExplicitOverlaps,
     PowerLawOverlap,
+    ValidationError,
     analysis,
     cli,
     criterion_value,
@@ -300,6 +301,18 @@ class TestSimulate:
         for key in ("p_exact", "p_second_order"):
             assert last[key] == summary[key] == point[key] == getattr(row, key)
         assert summary["criterion"] == point["criterion"] == row.criterion
+
+    def test_near_one_summary_is_within_ulps_of_sweep(self, runner):
+        # Near eta = 1 the summary is the O(n) series' last row and the sweep
+        # row the O(1) tail: here they differ in the last bit.
+        run = ("--omega", "0.7", "--T", "0.9", "--n", "8000")
+        r = invoke(runner, "simulate", *run, "--eta", "0.99999", "--format", "json")
+        s = invoke(runner, "sweep", *run, "--grid", "eta=0.99999", "--format", "json")
+        assert r.exit_code == s.exit_code == 0
+        summary, point = json.loads(r.stdout)["summary"], json.loads(s.stdout)[0]
+        assert summary["p_exact"] == point["p_exact"]
+        assert summary["criterion"] == point["criterion"]
+        assert abs(summary["p_second_order"] - point["p_second_order"]) <= 4 * 2.0**-52
 
     def test_basic_run_values(self, runner):
         r = invoke(
@@ -1145,6 +1158,54 @@ class TestClassify:
         assert r.exit_code == 2
         assert "error: omega = 1e+200 and T = 1.0 put V = omega^2" in r.output
 
+    @pytest.mark.parametrize("args,schedule,V,T", [
+        (("--eta", "0.5"), ConstantOverlap(eta=0.5), 1.0, 1.0),
+        (("--schedule", "power-law", "--alpha", "2", "--beta", "1", "--V", "0.3", "--T", "2",
+          "--n-max", "4096"), PowerLawOverlap(alpha=2.0, beta=1.0), 0.3, 2.0),
+        (("--schedule", "power-law", "--alpha", "1e-200", "--beta", "1", "--omega", "0.5"),
+         PowerLawOverlap(alpha=1e-200, beta=1.0), 0.25, 1.0),
+    ], ids=["defaults", "intermediate", "labels-apart"])
+    def test_printed_record_is_the_library_report(self, runner, args, schedule, V, T):
+        r = invoke(runner, "classify", *args, "--format", "json")
+        assert r.exit_code == 0, r.output
+        n_max = int(args[args.index("--n-max") + 1]) if "--n-max" in args else 2**20
+        report = analysis.regime_report(schedule, V, T, n_max)
+        assert cli.PARAMS["n_max"].default == 2**20
+        assert json.loads(r.stdout) == {
+            "schedule": schedule_to_dict(schedule), "V": V, "T": T,
+            "analytic": {"label": report.analytic.label.value,
+                         "limit_coefficient": report.analytic.limit_coefficient,
+                         "limit_p": report.limit_p},
+            "numeric": {"label": report.numeric.label.value,
+                        "extrapolated_limit": report.numeric_limit,
+                        "converged": report.numeric.converged,
+                        "diagnostics": [list(d) for d in report.numeric.diagnostics]},
+            "agreement": report.agreement,
+        }
+
+    @pytest.mark.parametrize("V,T", [("1", "1e200"), ("0", "1e156"), ("1e5", "1e155")])
+    def test_t_squared_past_the_float_range_is_named_when_v_is_given(self, runner, V, T):
+        # no omega is given, so the refusal names T alone
+        r = invoke(runner, "classify", "--V", V, "--T", T, "--eta", "0.5")
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error: T = {float(T)!r} puts T^2 in 1 - k*V*T^2 past the float range\n"
+
+    def test_probe_is_called_through_its_module(self, runner, monkeypatch):
+        # zenobench times the probe by patching this module attribute
+        calls = collections.Counter()
+        original = analysis.numeric_limit_probe
+
+        def counted_probe(*a):
+            calls["numeric_limit_probe"] += 1
+            return original(*a)
+
+        monkeypatch.setattr(analysis, "numeric_limit_probe", counted_probe)
+        r = invoke(runner, "classify", "--schedule", "power-law", "--alpha", "1", "--beta", "1",
+                   "--V", "4", "--T", "1", "--n-max", "4096")
+        assert r.exit_code == 0
+        assert calls == {"numeric_limit_probe": 1}
+
 
 class TestSweep:
     def test_grid_rows_and_header(self, runner):
@@ -1418,6 +1479,27 @@ class TestSweep:
             warnings.simplefilter("ignore")
             rows = list(sweep.sweep_rows(grid, {"T": 2e4, "n": 2}, {"type": "constant", "eta": 0.5}))
         assert [math.isfinite(row.p_second_order) for row in rows] == [True, False]
+
+    @pytest.mark.parametrize("specs,config,schedule,name", [
+        (["n=5"], {"n": 3, "omega": 1.0, "T": 0.3}, {"type": "constant", "eta": 0.5}, "n"),
+        (["eta=0.9"], {"n": 3, "omega": 1.0, "T": 0.3}, {"type": "constant", "eta": 0.5},
+         "eta"),
+    ], ids=["config", "schedule"])
+    def test_library_refuses_a_swept_name_also_given(self, monkeypatch, specs, config,
+                                                      schedule, name):
+        points = collections.Counter()
+        original = evolution.propagate_projected
+
+        def counted(*a):
+            points["run"] += 1
+            return original(*a)
+
+        monkeypatch.setattr(evolution, "propagate_projected", counted)
+        rows = sweep.sweep_rows(sweep.parse_grid(specs), config, schedule)
+        with pytest.raises(ValidationError) as info:
+            next(rows)
+        assert str(info.value) == f"{name} is swept by the grid and also given; give it once"
+        assert points["run"] == 0
 
     def test_traced_functions_are_called_through_their_modules(self, runner, monkeypatch):
         # zenobench times a sweep by patching these module attributes. The
