@@ -19,7 +19,7 @@ import warnings
 from collections.abc import Iterator
 
 from ._frozen import Frozen
-from .errors import UnclassifiableScheduleError, ValidationError, as_count, square
+from .errors import UnclassifiableScheduleError, ValidationError, as_count, as_real, square
 from .schedules import (
     ConstantOverlap,
     ExponentialOverlap,
@@ -220,9 +220,7 @@ def second_order_series(eta: float, config: EvolutionConfig) -> Iterator[float]:
 def intermediate_coefficient(alpha: float) -> float:
     """k(alpha) = 2*(1/alpha + (exp(-alpha) - 1)/alpha^2) = 2*phi2(-alpha)
     for the beta = 1 family."""
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
-    return 2.0 * _phi2(-alpha)
+    return 2.0 * _phi2(-as_real("alpha", alpha, strict=True))
 
 
 def classify_schedule(schedule: OverlapSchedule) -> RegimeClassification:
@@ -282,9 +280,10 @@ def numeric_limit_probe(schedule: OverlapSchedule, n_max: int) -> RegimeClassifi
 
     Evaluates k_n = 2*S(eta_n, n)/n^2 = (n + 2*S_tail)/n^2, of which the
     second-order survival is 1 - k_n*V*T^2, along the powers of two
-    n = 64, 128, ... up to n_max, accelerates the tail, and labels the
-    limit k Zeno within PROBE_TOLERANCE of 0, FreeEvolution within it of
-    1 and Intermediate otherwise. Neither V nor T enters.
+    n = 64, 128, ... up to n_max, accelerates the tail, clamps the limit k
+    into [0, 1], where every k_n lies, and labels it Zeno within
+    PROBE_TOLERANCE of 0, FreeEvolution within it of 1 and Intermediate
+    otherwise. Neither V nor T enters.
     """
     n_max = as_count("n_max", n_max, least=64)
     seq = []
@@ -294,6 +293,7 @@ def numeric_limit_probe(schedule: OverlapSchedule, n_max: int) -> RegimeClassifi
         seq.append((n + 2.0 * tail) / (n * n))
         diagnostics.append((n, tail / (n * n)))
     k, converged = _aitken_accelerate(seq)
+    k = min(max(k, 0.0), 1.0)
     if abs(k) <= PROBE_TOLERANCE:
         label = Regime.ZENO
     elif abs(k - 1.0) <= PROBE_TOLERANCE:
@@ -318,12 +318,9 @@ def regime_report(schedule: OverlapSchedule, V: float, T: float,
                   n_max: int = 2**20) -> RegimeReport:
     """classify_schedule and numeric_limit_probe(schedule, n_max), their limits at V and T,
     and agreement: equal labels or, near a regime boundary, coefficients k within
-    PROBE_TOLERANCE. V must be finite and >= 0, T finite and > 0 with T^2 finite."""
-    if not (math.isfinite(V) and V >= 0):
-        raise ValidationError(f"V must be finite and >= 0, got {V}")
-    if not (math.isfinite(T) and T > 0):
-        raise ValidationError(f"T must be finite and > 0, got {T}")
-    if square(T) == math.inf:
+    PROBE_TOLERANCE. V and T are read by errors.as_real (V >= 0, T > 0), and T^2 must be finite."""
+    as_real("V", V)
+    if square(as_real("T", T, strict=True)) == math.inf:
         raise ValidationError(f"T = {T!r} puts T^2 in 1 - k*V*T^2 past the float range")
     analytic = classify_schedule(schedule)
     numeric = numeric_limit_probe(schedule, n_max)

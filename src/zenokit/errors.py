@@ -1,8 +1,10 @@
 """Exception types shared across the package, and the package's one owner
-of three rules: the refusal of a parameter that nothing reads, the reading
-of a step count, and the square that cannot raise."""
+of four rules: the refusal of a parameter that nothing reads, the reading
+of a step count, the reading of a real parameter, and the square that
+cannot raise."""
 
 import math
+import numbers
 import operator
 import sys
 
@@ -38,6 +40,16 @@ def as_count(name: str, value, least: int = 1) -> int:
         raise ValidationError(f"{name} must be >= {least}, got {value}")
     if value > sys.maxsize:
         raise CapacityError(f"{name} = {value} is above the cap of sys.maxsize = {sys.maxsize}")
+    return value
+
+
+def as_real(name: str, value, strict: bool = False):
+    """value unchanged, for a real parameter: a real number (an int, a float
+    or a numpy one), finite and >= 0, or > 0 when strict."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
+        raise ValidationError(f"{name} must be finite and {'>' if strict else '>='} 0, got {value}")
     return value
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from ._frozen import Frozen
-from .errors import ValidationError, square
+from .errors import ValidationError, as_real, square
 from .schedules import PowerLawOverlap
 
 HBAR = 1.054571817e-34  # J*s, CODATA 2018
@@ -23,12 +23,6 @@ VALIDITY_TIME_DISCREPANCY_NOTE = (
     "m=1e-26 kg, sigma=1e-10 m; the commonly quoted 4e-13 s does not "
     "follow from it"
 )
-
-
-def _require_positive(**fields: float) -> None:
-    for name, value in fields.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
 
 def _derived(what: str, compute, **inputs: float) -> float:
@@ -50,7 +44,8 @@ class FreeParticleParams(Frozen):
     hbar: float = HBAR
 
     def __post_init__(self):
-        _require_positive(m=self.m, sigma=self.sigma, hbar=self.hbar)
+        for name in self._fields:
+            as_real(name, getattr(self, name), strict=True)
 
 
 class PointerModelParams(Frozen):
@@ -63,7 +58,8 @@ class PointerModelParams(Frozen):
     T: float
 
     def __post_init__(self):
-        _require_positive(v=self.v, sigma=self.sigma, c_ratio=self.c_ratio, T=self.T)
+        for name in self._fields:
+            as_real(name, getattr(self, name), strict=True)
 
 
 class BrownianModelParams(Frozen):
@@ -74,9 +70,8 @@ class BrownianModelParams(Frozen):
     T: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.D) and self.D >= 0):
-            raise ValidationError(f"D must be finite and >= 0, got {self.D}")
-        _require_positive(T=self.T)
+        as_real("D", self.D)
+        as_real("T", self.T, strict=True)
 
 
 def free_particle_variance(p: FreeParticleParams) -> float:
@@ -106,8 +101,9 @@ def quadratic_validity_time(p: FreeParticleParams) -> float:
 def gaussian_pointer_overlap(v: float, delta: float, sigma: float) -> float:
     """Overlap exp(-(v*delta)^2 / sigma^2) of two Gaussian pointer states
     displaced by +-v*delta. Quadratic in delta for v*delta << sigma."""
-    _require_positive(v=v, sigma=sigma)
-    if not delta >= 0:
+    as_real("v", v, strict=True)
+    as_real("sigma", sigma, strict=True)
+    if not delta >= 0:  # not errors.as_real: an infinite delta is an overlap of 0
         raise ValidationError(f"delta must be >= 0, got {delta}")
     return math.exp(-square(v * delta / sigma))
 

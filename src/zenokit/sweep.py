@@ -95,6 +95,8 @@ def parse_grid(specs):
     """{name: its sorted distinct values} of at most two specs "param=v1,v2,...",
     "param=lin:start:stop:count" or "param=geom:start:stop:count", param in
     SWEEP_PARAMS; a step count is read by errors.as_count before any point runs."""
+    if isinstance(specs, str):
+        raise ValidationError(f"grid specs are a list of strings, got one string {specs!r}")
     if len(specs) > 2:
         raise ValidationError("at most two grid parameters are supported")
     grid = dict(map(_parse_grid, specs))

@@ -16,7 +16,7 @@ import cmath
 import math
 
 from ._frozen import Frozen
-from .errors import ValidationError, as_count, square
+from .errors import ValidationError, as_count, as_real, square
 
 ROW_NORM_TOL = 1e-9
 
@@ -27,6 +27,7 @@ class FreeEvolutionUnitary(Frozen):
     phi: float = 0.0
 
     def __post_init__(self):
+        # Not errors.as_real: a phase may be negative, and its message is pinned.
         if not math.isfinite(self.phi):
             raise ValidationError(f"phi must be finite, got {self.phi!r}")
         norm = square(abs(self.a)) + square(abs(self.b))
@@ -49,9 +50,7 @@ def make_rabi_unitary(omega: float, delta: float) -> FreeEvolutionUnitary:
     The off-diagonal weight satisfies |b|^2 = sin^2(omega*delta), i.e.
     V*delta^2 + O(delta^4) with V = omega^2.
     """
-    if delta < 0:
-        raise ValidationError(f"delta must be >= 0, got {delta}")
-    theta = omega * delta
+    theta = as_real("omega", omega) * as_real("delta", delta)
     return FreeEvolutionUnitary(a=math.cos(theta), b=-1j * math.sin(theta), phi=0.0)
 
 
@@ -76,10 +75,8 @@ class EvolutionConfig(Frozen):
 
     def __post_init__(self):
         object.__setattr__(self, "n", as_count("n", self.n))
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise ValidationError(f"T must be finite and > 0, got {self.T}")
-        if not (math.isfinite(self.omega) and self.omega >= 0):
-            raise ValidationError(f"omega must be finite and >= 0, got {self.omega}")
+        as_real("T", self.T, strict=True)
+        as_real("omega", self.omega)
         if not math.isfinite(self.vd2):
             raise ValidationError(
                 f"omega = {self.omega!r} and T = {self.T!r} put V = omega^2 or "

@@ -353,6 +353,18 @@ class TestNumericProbe:
                 numeric_limit_probe(sched, n_max)
         assert numeric_limit_probe(sched, np.int64(4096)) == numeric_limit_probe(sched, 4096)
 
+    # Unclamped, Aitken extrapolated these k to 1.000000000000001, -1.2e-6,
+    # -6.9e-11 and -3e-16, past the [0, 1] where every k_n lies.
+    @pytest.mark.parametrize("sched,n_max,k,label", [
+        (PowerLawOverlap(alpha=1, beta=2), 2**20, 1.0, Regime.FREE_EVOLUTION),
+        (PowerLawOverlap(alpha=1, beta=0.5), 4096, 0.0, Regime.ZENO),
+        (ConstantOverlap(eta=0.5), 4096, 0.0, Regime.ZENO),
+        (ConstantOverlap(eta=0.5), 2**20, 0.0, Regime.ZENO),
+    ])
+    def test_extrapolated_k_is_clamped_into_the_unit_interval(self, sched, n_max, k, label):
+        r = numeric_limit_probe(sched, n_max)
+        assert (r.limit_coefficient, r.label) == (k, label)
+
 
 class TestRegimeReport:
     def test_fields_are_the_two_classifications_and_their_limits(self):

@@ -1006,6 +1006,17 @@ class TestSteepPowerLaw:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("args", [
+        ("--schedule", "power-law", "--alpha", "1", "--beta", "0.5", "--n-max", "4096",
+         "--V", "1", "--T", "1"),
+        ("--eta", "0.5"),
+    ], ids=["power-law-zeno", "constant-default"])
+    def test_zeno_numeric_limit_is_not_above_one(self, runner, args):
+        # 1.000001218559106 and 1.0000000000000002 before the probe's k was clamped
+        r = invoke(runner, "classify", *args)
+        assert r.exit_code == 0, r.output
+        assert json.loads(r.output)["numeric"]["extrapolated_limit"] == 1.0
+
     def test_power_law_zeno(self, runner):
         r = invoke(
             runner, "classify", "--schedule", "power-law", "--alpha", "1",
@@ -1471,6 +1482,13 @@ class TestSweep:
         assert all(list(point) == list(sweep.SweepRow._fields) for point in printed)
         assert repr([row._values() for row in rows]) == repr(
             [tuple(point.values()) for point in printed])
+
+    def test_library_grid_refuses_one_string(self):
+        # a string is a sequence of its characters: 11 of them read as 11 specs
+        with pytest.raises(ValidationError) as info:
+            sweep.parse_grid("eta=0.5,0.6")
+        assert str(info.value) == "grid specs are a list of strings, got one string 'eta=0.5,0.6'"
+        assert sweep.parse_grid(["eta=0.5,0.6"]) == {"eta": [0.5, 0.6]}
 
     def test_library_yields_a_non_finite_row(self):
         # the CLI refuses this grid's second point (exit 2, above)

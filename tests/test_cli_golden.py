@@ -47,6 +47,10 @@ numeric probe moved from extrapolating the survival 1 - k_n*V*T^2 to
 extrapolating the coefficient k_n itself, with V*T^2 applied once to the
 limit: its numeric_limit moved from -0.4715177647069549 to
 -0.47151776470695483. No other cell of any classify digest changed.
+The digest of classify-constant-json was re-recorded when the probe's
+extrapolated k was clamped into [0, 1], where every k_n lies: its k of
+-6.9e-11 became 0.0, so its numeric extrapolated_limit moved from
+1.000000000068693 to 1.0. No other line of any digest changed.
 """
 
 import hashlib
@@ -107,7 +111,7 @@ CASES = {
 }
 
 GOLDEN = {
-    "classify-constant-json": (0, "86e2cf3792f6d897c703a952d4682f881838e1afa34835f413452b06ffebc198"),
+    "classify-constant-json": (0, "59e1ecfa7e3d89f305885429b91df319f1d570a448756376bf953d1645163525"),
     "classify-exponential-json": (0, "c14fb305e5ef3570e29dfd32d40d9c20d7ab241efd286d1e913fc9bc08717faf"),
     "classify-power-law-csv": (0, "9189c261fe006697310a814e9ebeab01e75b72f6123835454357e4db46a59518"),
     "physical-brownian-json": (0, "8652853dfedf6b10b0e0aad301f40ed4fe9d30237e27dc8b68846c8efdd9b6b8"),

@@ -12,6 +12,7 @@ from zenokit import (
     ValidationError,
     brownian_schedule,
     classify_schedule,
+    family_eta,
     free_particle_variance,
     gaussian_model_schedule,
     gaussian_pointer_overlap,
@@ -126,6 +127,20 @@ class TestGaussianPointer:
 
 
 class TestPointerModelParams:
+    # gaussian_model_schedule is the small-step expansion of
+    # gaussian_pointer_overlap: 1 - eta_n = x = alpha/n^2 against
+    # 1 - exp(-x), which lies within x/2 of it, relatively.
+    @pytest.mark.parametrize("v,sigma,c_ratio,T", [
+        (1.0, 1.0, 1.0, 1.0), (0.3, 0.7, 1.3, 2.0), (5.0, 2.0, 0.5, 0.8), (1e-3, 1e-3, 2.0, 1.0),
+    ])
+    @pytest.mark.parametrize("n", [3, 10, 100, 1000])
+    def test_schedule_is_the_small_step_expansion_of_the_overlap(self, v, sigma, c_ratio, T, n):
+        p = PointerModelParams(v=v, sigma=sigma, c_ratio=c_ratio, T=T)
+        sched = gaussian_model_schedule(p)
+        expanded = 1.0 - family_eta(sched, n)
+        exact = 1.0 - gaussian_pointer_overlap(p.v, p.c_ratio * p.T / n, p.sigma)
+        assert abs(expanded - exact) <= sched.alpha / n**2 * expanded
+
     @pytest.mark.parametrize("field", ["v", "sigma", "c_ratio", "T"])
     def test_rejects_non_finite(self, field):
         kwargs = {**dict(v=1.0, sigma=1.0, c_ratio=1.0, T=1.0), field: math.inf}
