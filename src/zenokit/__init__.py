@@ -9,7 +9,7 @@ from .analysis import (
     intermediate_coefficient,
     numeric_limit_probe,
     regime_report,
-    second_order_with_criterion,
+    second_order_partial,
     zeno_sum,
 )
 from .errors import CapacityError, UnclassifiableScheduleError, ValidationError

@@ -19,7 +19,8 @@ import warnings
 from collections.abc import Iterator
 
 from ._frozen import Frozen
-from .errors import UnclassifiableScheduleError, ValidationError, as_count, as_real, square
+from .errors import (UnclassifiableScheduleError, ValidationError, as_count, as_real,
+                     real_number, square)
 from .schedules import (
     ConstantOverlap,
     ExponentialOverlap,
@@ -66,8 +67,9 @@ class RegimeClassification(Frozen):
 
 
 def _check_eta_n(eta: float, n: int) -> int:
-    """n as an int, once eta is in [0, 1] and n a step count (as_count)."""
-    if not 0.0 <= eta <= 1.0:
+    """n as an int, once eta is a real number (real_number) in [0, 1] and n a
+    step count (as_count)."""
+    if not 0.0 <= real_number("eta", eta) <= 1.0:
         raise ValidationError(f"eta must lie in [0, 1], got {eta}")
     return as_count("n", n)
 
@@ -166,35 +168,24 @@ def criterion_value(eta: float, n: int) -> float:
     return _weighted_tail(eta, n) / (n * n)
 
 
-def second_order_with_criterion(
-    eta: float, config: EvolutionConfig
-) -> tuple[float, float]:
-    """Second-order survival 1 - 2*S(eta, n)*V*delta^2 and
-    criterion_value(eta, n), from one evaluation of the weighted tail.
+def second_order_partial(eta: float, config: EvolutionConfig, i: int) -> float:
+    """Second-order survival 1 - 2*S(eta, i)*V*delta^2 after the first i of
+    the run's n steps, with the run's step length delta = T/n.
 
-    The survival is the second-order expansion, not a probability: it
-    leaves [0, 1] when 2*S*V*delta^2 > 1. Warns when V*delta^2 > 0.1.
+    The expansion, not a probability: it leaves [0, 1] when 2*S*V*delta^2 > 1.
+    The one owner of the step-size UserWarning, at V*delta^2 > 0.1. Scalar
+    reference for second_order_series.
     """
-    n = _check_eta_n(eta, config.n)
+    if not 1 <= i <= config.n:
+        raise ValidationError(f"step index {i} outside 1..{config.n}")
+    s = zeno_sum(eta, i)
     if config.vd2 > 0.1:
         warnings.warn(
             f"V*delta^2 = {config.vd2:.3g} > 0.1; the second-order formula is "
             "unreliable at this step size",
             stacklevel=2,
         )
-    tail = _weighted_tail(eta, n)
-    return _second_order(n / 2.0 + tail, config.vd2), tail / (n * n)
-
-
-def second_order_partial(eta: float, config: EvolutionConfig, i: int) -> float:
-    """Second-order survival after the first i of the run's n steps.
-
-    Same step length delta = T/n; only the number of elapsed steps varies.
-    Scalar reference for second_order_series.
-    """
-    if not 1 <= i <= config.n:
-        raise ValidationError(f"step index {i} outside 1..{config.n}")
-    return _second_order(zeno_sum(eta, i), config.vd2)
+    return _second_order(s, config.vd2)
 
 
 def _second_order(s: float, vd2: float) -> float:
@@ -278,7 +269,7 @@ def _aitken_accelerate(seq: list[float]) -> tuple[float, bool]:
 def numeric_limit_probe(schedule: OverlapSchedule, n_max: int) -> RegimeClassification:
     """Empirical regime label from extrapolating the coefficient k.
 
-    Evaluates k_n = 2*S(eta_n, n)/n^2 = (n + 2*S_tail)/n^2, of which the
+    Evaluates k_n = 2*zeno_sum(eta_n, n)/n^2, of which the
     second-order survival is 1 - k_n*V*T^2, along the powers of two
     n = 64, 128, ... up to n_max, accelerates the tail, clamps the limit k
     into [0, 1], where every k_n lies, and labels it Zeno within
@@ -289,9 +280,9 @@ def numeric_limit_probe(schedule: OverlapSchedule, n_max: int) -> RegimeClassifi
     seq = []
     diagnostics = []
     for n in (2**j for j in range(6, n_max.bit_length())):
-        tail = _weighted_tail(family_eta(schedule, n), n)
-        seq.append((n + 2.0 * tail) / (n * n))
-        diagnostics.append((n, tail / (n * n)))
+        eta = family_eta(schedule, n)
+        seq.append(2.0 * zeno_sum(eta, n) / (n * n))
+        diagnostics.append((n, criterion_value(eta, n)))
     k, converged = _aitken_accelerate(seq)
     k = min(max(k, 0.0), 1.0)
     if abs(k) <= PROBE_TOLERANCE:

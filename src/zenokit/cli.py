@@ -257,7 +257,8 @@ def simulate(opts):
     step = config.step_unitary()
     p_exact = evolution.propagate_projected(step, schedule, config.n)
     eta = family_eta(schedule, config.n)
-    p_last, criterion = analysis.second_order_with_criterion(eta, config)
+    p_last = analysis.second_order_partial(eta, config, config.n)
+    criterion = analysis.criterion_value(eta, config.n)
     p_second = analysis.second_order_series(eta, config)
     p_oracle = evolution.enumerate_branches(step, schedule, config.n) if oracle else None
     run = f"for omega = {config.omega!r}, T = {config.T!r}, n = {config.n}"

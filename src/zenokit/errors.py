@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the package's one owner
 of four rules: the refusal of a parameter that nothing reads, the reading
-of a step count, the reading of a real parameter, and the square that
-cannot raise."""
+of a step count, the reading of a real parameter (its type, and its range
+where the parameter has no range of its own), and the square that cannot
+raise."""
 
 import math
 import numbers
@@ -43,12 +44,19 @@ def as_count(name: str, value, least: int = 1) -> int:
     return value
 
 
-def as_real(name: str, value, strict: bool = False):
-    """value unchanged, for a real parameter: a real number (an int, a float
-    or a numpy one), finite and >= 0, or > 0 when strict."""
+def real_number(name: str, value):
+    """value unchanged if it is a real number (an int, a float or a numpy
+    one); a str, None or complex raises ValidationError. The type half of
+    as_real, for a parameter that checks its own range."""
     if not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
-    if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
+    return value
+
+
+def as_real(name: str, value, strict: bool = False):
+    """value unchanged, for a real parameter: a real number (real_number),
+    finite and >= 0, or > 0 when strict."""
+    if not (math.isfinite(real_number(name, value)) and (value > 0 if strict else value >= 0)):
         raise ValidationError(f"{name} must be finite and {'>' if strict else '>='} 0, got {value}")
     return value
 

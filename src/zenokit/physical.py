@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from ._frozen import Frozen
-from .errors import ValidationError, as_real, square
+from .errors import ValidationError, as_real, real_number, square
 from .schedules import PowerLawOverlap
 
 HBAR = 1.054571817e-34  # J*s, CODATA 2018
@@ -103,7 +103,8 @@ def gaussian_pointer_overlap(v: float, delta: float, sigma: float) -> float:
     displaced by +-v*delta. Quadratic in delta for v*delta << sigma."""
     as_real("v", v, strict=True)
     as_real("sigma", sigma, strict=True)
-    if not delta >= 0:  # not errors.as_real: an infinite delta is an overlap of 0
+    # not as_real's range: an infinite delta is an overlap of 0
+    if not real_number("delta", delta) >= 0:
         raise ValidationError(f"delta must be >= 0, got {delta}")
     return math.exp(-square(v * delta / sigma))
 

@@ -13,7 +13,7 @@ import math
 import numbers
 
 from ._frozen import Frozen
-from .errors import ValidationError, square
+from .errors import ValidationError, as_count, square
 
 MAX_QUBITS = 12
 _TOL = 1e-12
@@ -34,7 +34,8 @@ class QubitRegister(Frozen):
     amplitudes: tuple[complex, ...]
 
     def __post_init__(self):
-        if not 1 <= self.k <= MAX_QUBITS:
+        object.__setattr__(self, "k", as_count("k", self.k))
+        if not self.k <= MAX_QUBITS:
             raise ValidationError(f"qubit count {self.k} outside 1..{MAX_QUBITS}")
         amps = _complex_tuple(self.amplitudes, "amplitudes")
         if len(amps) != 2**self.k:
@@ -77,10 +78,12 @@ class DensityMatrix2(Frozen):
 
 def apply_cnot(state: QubitRegister, control: int, target: int) -> QubitRegister:
     """Controlled-NOT: flip the target bit wherever the control bit is 1."""
+    control = as_count("control", control, least=0)
+    target = as_count("target", target, least=0)
     if control == target:
         raise ValidationError("control and target must differ")
     for name, q in (("control", control), ("target", target)):
-        if not 0 <= q < state.k:
+        if not q < state.k:
             raise ValidationError(f"{name} qubit {q} outside 0..{state.k - 1}")
     amps = state.amplitudes
     flipped = (i ^ (1 << target) if i >> control & 1 else i for i in range(2**state.k))
@@ -91,7 +94,7 @@ def partial_trace_to_system(state: QubitRegister, system_index: int = 0) -> Dens
     """Reduced density matrix of one qubit, tracing out all the others."""
     if state.k < 2:
         raise ValidationError("partial trace needs at least 2 qubits")
-    if not 0 <= system_index < state.k:
+    if not as_count("system_index", system_index, least=0) < state.k:
         raise ValidationError(f"system qubit {system_index} outside 0..{state.k - 1}")
     # psi[s]: the amplitudes with the system qubit at s, in the others' order
     psi = [[z for i, z in enumerate(state.amplitudes) if (i >> system_index & 1) == s]

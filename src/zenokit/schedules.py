@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterator
 
 from ._frozen import Frozen
-from .errors import ValidationError, as_count, require_read
+from .errors import ValidationError, as_count, real_number, require_read
 
 _MODULUS_SLACK = 1e-12
 
@@ -53,7 +53,8 @@ class _Family(Frozen):
     beta: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0 for v in (self.alpha, self.beta)):
+        values = (real_number("alpha", self.alpha), real_number("beta", self.beta))
+        if not all(math.isfinite(v) and v > 0 for v in values):
             raise ValidationError(
                 f"{_TYPE_NAMES[type(self)]} schedule needs finite alpha > 0 and beta > 0, "
                 f"got alpha={self.alpha}, beta={self.beta}"

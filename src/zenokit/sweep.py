@@ -136,5 +136,5 @@ def sweep_rows(grid, config, schedule):
         p_exact = collections.deque(evolution.propagate_projected(
             run.step_unitary(), built, run.n), maxlen=1).pop()
         eta = schedules.family_eta(built, run.n)
-        p_so, criterion = analysis.second_order_with_criterion(eta, run)
-        yield SweepRow(run.n, eta, p_exact, p_so, criterion, regime)
+        yield SweepRow(run.n, eta, p_exact, analysis.second_order_partial(eta, run, run.n),
+                       analysis.criterion_value(eta, run.n), regime)

@@ -16,7 +16,7 @@ import cmath
 import math
 
 from ._frozen import Frozen
-from .errors import ValidationError, as_count, as_real, square
+from .errors import ValidationError, as_count, as_real, real_number, square
 
 ROW_NORM_TOL = 1e-9
 
@@ -27,8 +27,8 @@ class FreeEvolutionUnitary(Frozen):
     phi: float = 0.0
 
     def __post_init__(self):
-        # Not errors.as_real: a phase may be negative, and its message is pinned.
-        if not math.isfinite(self.phi):
+        # Not errors.as_real's range: a phase may be negative, and its message is pinned.
+        if not math.isfinite(real_number("phi", self.phi)):
             raise ValidationError(f"phi must be finite, got {self.phi!r}")
         norm = square(abs(self.a)) + square(abs(self.b))
         if not abs(norm - 1.0) <= ROW_NORM_TOL:
@@ -51,6 +51,11 @@ def make_rabi_unitary(omega: float, delta: float) -> FreeEvolutionUnitary:
     V*delta^2 + O(delta^4) with V = omega^2.
     """
     theta = as_real("omega", omega) * as_real("delta", delta)
+    if theta == math.inf:
+        raise ValidationError(
+            f"omega = {omega!r} and delta = {delta!r} put the angle omega*delta "
+            "beyond the float range"
+        )
     return FreeEvolutionUnitary(a=math.cos(theta), b=-1j * math.sin(theta), phi=0.0)
 
 

@@ -21,7 +21,7 @@ from zenokit import (
     RegimeReport,
     numeric_limit_probe,
     regime_report,
-    second_order_with_criterion,
+    second_order_partial,
     zeno_sum,
 )
 from zenokit import analysis
@@ -29,7 +29,6 @@ from zenokit.analysis import (
     CLOSED_FORM_CROSSOVER,
     INTERMEDIATE_SERIES_CUT,
     PROBE_TOLERANCE,
-    second_order_partial,
     second_order_series,
 )
 
@@ -98,25 +97,31 @@ class TestZenoSum:
 class TestSecondOrder:
     def test_no_decoherence_gives_global_quadratic_decay(self):
         cfg = EvolutionConfig(omega=1.0, T=0.1, n=50)
-        p_so = second_order_with_criterion(1.0, cfg)[0]
+        p_so = second_order_partial(1.0, cfg, cfg.n)
         assert p_so == pytest.approx(1 - 0.01, abs=1e-14)
 
     def test_perfect_decoherence_gives_zeno_scaling(self):
         cfg = EvolutionConfig(omega=1.0, T=0.1, n=50)
-        p_so = second_order_with_criterion(0.0, cfg)[0]
+        p_so = second_order_partial(0.0, cfg, cfg.n)
         assert p_so == pytest.approx(1 - 0.01 / 50, abs=1e-14)
 
     def test_mid_eta_value(self):
         cfg = EvolutionConfig(omega=1.0, T=0.1, n=4)
-        assert second_order_with_criterion(0.5, cfg)[0] == pytest.approx(
+        assert second_order_partial(0.5, cfg, cfg.n) == pytest.approx(
             1 - 2 * 4.125 * 0.025**2, abs=1e-14
         )
 
     def test_warns_when_step_too_coarse(self):
         cfg = EvolutionConfig(omega=1.0, T=2.0, n=5)
         with pytest.warns(UserWarning, match="unreliable") as record:
-            second_order_with_criterion(0.5, cfg)
+            second_order_partial(0.5, cfg, cfg.n)
         assert record[0].filename == __file__
+
+    @pytest.mark.parametrize("i", [0, 6])
+    def test_refuses_a_step_index_outside_the_run(self, i):
+        cfg = EvolutionConfig(omega=1.0, T=0.1, n=5)
+        with pytest.raises(ValidationError, match=rf"^step index {i} outside 1\.\.5$"):
+            second_order_partial(0.5, cfg, i)
 
 
 class TestSecondOrderSeries:
@@ -178,6 +183,7 @@ class TestSecondOrderSeriesStreaming:
         rows = list(second_order_series(eta, cfg))
         assert all(a >= b for a, b in zip(rows, rows[1:]))
 
+    @pytest.mark.filterwarnings("ignore:V\\*delta\\^2")  # RUNS draws coarse steps too
     @settings(max_examples=200, deadline=None)
     @given(ETAS, RUNS)
     def test_end_is_the_last_row(self, eta, cfg):
@@ -194,22 +200,14 @@ class TestSecondOrderSeriesStreaming:
             assert abs(end - last) <= 7 * math.ulp(max(1.0, abs(end)))
 
 
-class TestSecondOrderWithCriterion:
+class TestSecondOrderPartial:
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9999, 1 - 1e-6, 1.0])
     def test_equals_separate_calls(self, eta):
+        # One evaluation order, 1 - 2*S*(V*delta^2), V*delta^2 multiplied first.
         cfg = EvolutionConfig(omega=0.7, T=0.9, n=777)
-        assert second_order_with_criterion(eta, cfg) == (
-            1.0 - 2.0 * zeno_sum(eta, cfg.n) * (cfg.V * cfg.delta**2),
-            criterion_value(eta, cfg.n),
+        assert second_order_partial(eta, cfg, cfg.n) == (
+            1.0 - 2.0 * zeno_sum(eta, cfg.n) * (cfg.V * cfg.delta**2)
         )
-
-    @pytest.mark.filterwarnings("ignore:V\\*delta\\^2")
-    @settings(max_examples=200, deadline=None)
-    @example(1.0, EvolutionConfig(omega=0.7, T=0.9, n=1000))
-    @given(ETAS, RUNS)
-    def test_survival_is_second_order_partial(self, eta, cfg):
-        # One evaluation order, 1 - 2*S*(V*delta^2), serves both.
-        assert second_order_with_criterion(eta, cfg)[0] == second_order_partial(eta, cfg, cfg.n)
 
 
 class TestCriterionValue:

@@ -76,7 +76,7 @@ def simulate_reference(fmt, omega, T, n, schedule, schedule_fields, oracle):
     config = EvolutionConfig(omega=omega, T=T, n=n)
     series = list(propagate_projected(config.step_unitary(), schedule, n))
     eta = family_eta(schedule, n)
-    criterion = analysis.second_order_with_criterion(eta, config)[1]
+    criterion = analysis.criterion_value(eta, n)
     so = list(analysis.second_order_series(eta, config))
     rows = [(i, pe, ps, abs(pe - ps))
             for i, (pe, ps) in enumerate(zip(series, so), start=1)]
@@ -692,6 +692,7 @@ class TestInvalidInput:
         "config,args,message",
         [
             ("{not json", ("simulate",), "cannot read config file"),
+            ("[1]", ("simulate",), "config file must hold a JSON object"),
             ('{"omega": 1, "T": 1, "n": "abc", "eta": 0.5}', ("simulate",),
              "config n: 'abc' is not a valid integer"),
             ('{"omega": [1], "T": 1, "n": 3, "eta": 0.5}', ("simulate",),
@@ -766,6 +767,10 @@ class TestInvalidInput:
             # 10^x at the largest float's rounded log10 overflows
             ("T=geom:1.7976931348623155e308:1.7976931348623157e308:3",
              "grid for T leaves the float range"),
+            ("omega", "grid must look like param=values, got 'omega'"),
+            ("omega=lin:1:2", "lin grid needs start:stop:count, got 'lin:1:2'"),
+            ("omega=lin:1:2:0", "grid count must be >= 1, got 0"),
+            ("omega=geom:0:1:3", "geom grid endpoints must be positive"),
         ],
     )
     def test_bad_grid_exit_code(self, runner, grid, message):
@@ -1353,7 +1358,8 @@ class TestSweep:
                 p_exact = list(propagate_projected(
                     config.step_unitary(), ConstantOverlap(eta=eta), 50
                 ))[-1]
-                p_so, criterion = analysis.second_order_with_criterion(eta, config)
+                p_so = analysis.second_order_partial(eta, config, config.n)
+                criterion = analysis.criterion_value(eta, config.n)
                 regime = "FreeEvolution" if eta == 1.0 else "Zeno"
                 writer.writerow((50, repr(eta), repr(p_exact), repr(p_so),
                                  repr(criterion), regime))

@@ -12,8 +12,8 @@ import pytest
 
 from zenokit import analysis, errors, evolution, physical, schedules
 from zenokit.errors import CapacityError, ValidationError, as_real, square
-from zenokit.schedules import ConstantOverlap, PowerLawOverlap
-from zenokit.unitary import EvolutionConfig, make_rabi_unitary
+from zenokit.schedules import ConstantOverlap, ExponentialOverlap, PowerLawOverlap
+from zenokit.unitary import EvolutionConfig, FreeEvolutionUnitary, make_rabi_unitary
 
 _U = make_rabi_unitary(1.0, 0.1)
 _HALF = ConstantOverlap(0.5)
@@ -107,6 +107,46 @@ def test_every_entry_point_takes_its_least_real(entry):
     call(5e-324 if strict else 0.0)
 
 
+def test_make_rabi_unitary_refuses_an_angle_past_the_float_range():
+    with pytest.raises(ValidationError) as info:
+        make_rabi_unitary(1e200, 1e200)
+    assert str(info.value) == ("omega = 1e+200 and delta = 1e+200 put the angle omega*delta "
+                               "beyond the float range")
+
+
+_RUN = EvolutionConfig(omega=1.0, T=0.1, n=3)
+
+# Every library entry point that reads a real parameter's type by
+# errors.real_number but keeps its own range rule: a call of a value.
+REAL_TYPE_ENTRY_POINTS = {
+    "gaussian_pointer_overlap delta": lambda x: physical.gaussian_pointer_overlap(1.0, x, 1.0),
+    "FreeEvolutionUnitary phi": lambda x: FreeEvolutionUnitary(1, 0j, phi=x),
+    "PowerLawOverlap alpha": lambda x: PowerLawOverlap(x, 1),
+    "PowerLawOverlap beta": lambda x: PowerLawOverlap(1, x),
+    "ExponentialOverlap alpha": lambda x: ExponentialOverlap(x, 1),
+    "ExponentialOverlap beta": lambda x: ExponentialOverlap(1, x),
+    "zeno_sum eta": lambda x: analysis.zeno_sum(x, 3),
+    "criterion_value eta": lambda x: analysis.criterion_value(x, 3),
+    "second_order_partial eta": lambda x: analysis.second_order_partial(x, _RUN, 3),
+    "second_order_series eta": lambda x: analysis.second_order_series(x, _RUN),
+}
+
+
+@pytest.mark.parametrize("value", ["1", None, 1j, 0.5 + 0j])
+@pytest.mark.parametrize("entry", REAL_TYPE_ENTRY_POINTS)
+def test_every_entry_point_refuses_a_value_that_is_not_real_alike(entry, value):
+    name = entry.split()[1]
+    with pytest.raises(ValidationError) as info:
+        REAL_TYPE_ENTRY_POINTS[entry](value)
+    assert str(info.value) == f"{name} must be a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [1, 0.5, np.float64(0.5)])
+@pytest.mark.parametrize("entry", REAL_TYPE_ENTRY_POINTS)
+def test_every_entry_point_takes_a_real_of_any_type(entry, value):
+    REAL_TYPE_ENTRY_POINTS[entry](value)
+
+
 @pytest.mark.parametrize("value", [0, 2, 0.5, np.float64(0.25), np.float32(1.5), np.int64(3)])
 def test_as_real_returns_a_real_unchanged(value):
     assert as_real("x", value) is value
@@ -116,7 +156,9 @@ def test_no_module_but_errors_words_the_real_rule():
     package = pathlib.Path(errors.__file__).parent
     for path in package.glob("*.py"):
         if path.name != "errors.py":
-            assert "must be finite and" not in path.read_text(encoding="utf-8"), path.name
+            text = path.read_text(encoding="utf-8")
+            assert "must be finite and" not in text, path.name
+            assert "must be a real number" not in text, path.name
 
 
 def test_square_is_the_float_power_bit_for_bit():

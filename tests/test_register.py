@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -57,6 +58,20 @@ class TestQubitRegister:
         with pytest.raises(ValidationError):
             QubitRegister(k=2, amplitudes=amplitudes)
 
+    @pytest.mark.parametrize("k,message", [
+        (2.0, "k must be an integer, got 2.0"),
+        ("2", "k must be an integer, got '2'"),
+        (0, "k must be >= 1, got 0"),
+        (13, "qubit count 13 outside 1..12"),
+    ])
+    def test_rejects_a_bad_qubit_count(self, k, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            QubitRegister(k=k, amplitudes=(1, 0, 0, 0))
+
+    def test_qubit_count_is_an_int(self):
+        k = QubitRegister(k=np.int64(2), amplitudes=(1, 0, 0, 0)).k
+        assert type(k) is int and k == 2
+
 
 class TestCnot:
     def test_truth_table(self):
@@ -95,6 +110,16 @@ class TestCnot:
         with pytest.raises(ValidationError):
             apply_cnot(state, 0, 2)
 
+    @pytest.mark.parametrize("control,target,message", [
+        (0.0, 1, "control must be an integer, got 0.0"),
+        (0, 1.0, "target must be an integer, got 1.0"),
+        (-1, 1, "control must be >= 0, got -1"),
+        (0, 2, "target qubit 2 outside 0..1"),
+    ])
+    def test_refuses_a_bad_qubit_index(self, control, target, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            apply_cnot(basis_state(2, 0), control, target)
+
 
 class TestPartialTrace:
     def test_bell_state_marginal_is_maximally_mixed(self):
@@ -130,6 +155,15 @@ class TestPartialTrace:
         with pytest.raises(ValidationError):
             partial_trace_to_system(basis_state(1, 0), 0)
 
+    @pytest.mark.parametrize("system_index,message", [
+        (1.0, "system_index must be an integer, got 1.0"),
+        (-1, "system_index must be >= 0, got -1"),
+        (5, "system qubit 5 outside 0..2"),
+    ])
+    def test_refuses_a_bad_system_qubit(self, system_index, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            partial_trace_to_system(basis_state(3, 0), system_index)
+
     @given(st.integers(0, 2**31 - 1))
     def test_output_is_valid_density_matrix(self, seed):
         rng = np.random.default_rng(seed)
@@ -150,6 +184,10 @@ class TestDensityMatrix2:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValidationError):
             DensityMatrix2(matrix=np.array([[0.9, 0.0], [0.0, 0.9]]) + 0j)
+
+    def test_rejects_an_imaginary_diagonal(self):
+        with pytest.raises(ValidationError, match="^diagonal is not real$"):
+            DensityMatrix2(matrix=((0.5 + 0.1j, 0), (0, 0.5 - 0.1j)))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError):

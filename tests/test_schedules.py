@@ -58,6 +58,16 @@ def test_power_law_rejects_negative_overlap_at_small_n():
         family_eta(PowerLawOverlap(alpha=2.0, beta=1.0), 1)
 
 
+@pytest.mark.parametrize("schedule,message", [
+    (ExponentialOverlap(alpha=2.0, beta=0.1), "exponential overlap is negative at n=1 "
+                                              "(alpha=2.0, beta=0.1)"),
+    (ExplicitOverlaps(overlaps=()), "explicit schedule is empty"),
+])
+def test_family_eta_refuses_a_schedule_with_no_eta_at_n(schedule, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        family_eta(schedule, 1)
+
+
 def test_exponential_eta_value():
     eta = family_eta(ExponentialOverlap(alpha=1.0, beta=0.1), 10)
     assert eta == pytest.approx(1.0 - math.exp(-1.0))
