@@ -168,17 +168,14 @@ def criterion_value(eta: float, n: int) -> float:
     return _weighted_tail(eta, n) / (n * n)
 
 
-def second_order_partial(eta: float, config: EvolutionConfig, i: int) -> float:
-    """Second-order survival 1 - 2*S(eta, i)*V*delta^2 after the first i of
-    the run's n steps, with the run's step length delta = T/n.
+def second_order_partial(eta: float, config: EvolutionConfig) -> float:
+    """Second-order survival 1 - 2*S(eta, n)*V*delta^2 after the run's n
+    steps, with its step length delta = T/n.
 
     The expansion, not a probability: it leaves [0, 1] when 2*S*V*delta^2 > 1.
-    The one owner of the step-size UserWarning, at V*delta^2 > 0.1. Scalar
-    reference for second_order_series.
+    The one owner of the step-size UserWarning, at V*delta^2 > 0.1.
     """
-    if not 1 <= i <= config.n:
-        raise ValidationError(f"step index {i} outside 1..{config.n}")
-    s = zeno_sum(eta, i)
+    s = zeno_sum(eta, config.n)
     if config.vd2 > 0.1:
         warnings.warn(
             f"V*delta^2 = {config.vd2:.3g} > 0.1; the second-order formula is "
@@ -194,14 +191,14 @@ def _second_order(s: float, vd2: float) -> float:
 
 
 def second_order_series(eta: float, config: EvolutionConfig) -> Iterator[float]:
-    """second_order_partial(eta, config, i) for i = 1..n in one O(n) pass.
+    """1 - 2*S(eta, i)*V*delta^2 after each step i = 1..n in one O(n) pass.
 
     Returns an iterator that computes one row per value; eta and n are
     checked before it is returned. The rows never increase in i: each adds a
-    non-negative term. They equal the scalar values bit for bit where the
-    closed form applies and at eta = 1. Within CLOSED_FORM_CROSSOVER of eta = 1
-    a row may differ from its scalar value by a few 2^-52, and so simulate's
-    summary, the last row, from sweep's p_second_order, the O(1) tail's value.
+    non-negative term. They equal the scalar 1 - 2*zeno_sum(eta, i)*vd2 bit for
+    bit where the closed form applies and at eta = 1. Within CLOSED_FORM_CROSSOVER
+    of eta = 1 a row may differ from it by a few 2^-52, and so simulate's summary,
+    the last row, from sweep's p_second_order, second_order_partial's O(1) value.
     Both are kept: one algorithm for both costs about 8x on such rows.
     """
     _check_eta_n(eta, config.n)
@@ -295,8 +292,8 @@ def numeric_limit_probe(schedule: OverlapSchedule, n_max: int) -> RegimeClassifi
 
 
 class RegimeReport(Frozen):
-    """classify's verdict at V and T: both classifications, the limit 1 - k*V*T^2 of
-    each (kept if not finite, for the caller to refuse) and whether they agree."""
+    """classify's verdict at V and T: both classifications, the finite limit
+    1 - k*V*T^2 of each and whether they agree."""
 
     analytic: RegimeClassification
     numeric: RegimeClassification
@@ -309,12 +306,16 @@ def regime_report(schedule: OverlapSchedule, V: float, T: float,
                   n_max: int = 2**20) -> RegimeReport:
     """classify_schedule and numeric_limit_probe(schedule, n_max), their limits at V and T,
     and agreement: equal labels or, near a regime boundary, coefficients k within
-    PROBE_TOLERANCE. V and T are read by errors.as_real (V >= 0, T > 0), and T^2 must be finite."""
+    PROBE_TOLERANCE. V and T are read by errors.as_real (V >= 0, T > 0), and T^2 must be finite;
+    a limit that is not finite raises ValidationError, naming V and T."""
     as_real("V", V)
     if square(as_real("T", T, strict=True)) == math.inf:
         raise ValidationError(f"T = {T!r} puts T^2 in 1 - k*V*T^2 past the float range")
     analytic = classify_schedule(schedule)
     numeric = numeric_limit_probe(schedule, n_max)
+    limits = analytic.limit_p(V, T), numeric.limit_p(V, T)
+    if not all(map(math.isfinite, limits)):
+        raise ValidationError(f"survival is not finite for V = {V!r}, T = {T!r}")
     k_gap = abs(analytic.limit_coefficient - numeric.limit_coefficient)
-    return RegimeReport(analytic, numeric, analytic.limit_p(V, T), numeric.limit_p(V, T),
+    return RegimeReport(analytic, numeric, *limits,
                         analytic.label == numeric.label or k_gap <= PROBE_TOLERANCE)

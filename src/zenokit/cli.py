@@ -257,7 +257,7 @@ def simulate(opts):
     step = config.step_unitary()
     p_exact = evolution.propagate_projected(step, schedule, config.n)
     eta = family_eta(schedule, config.n)
-    p_last = analysis.second_order_partial(eta, config, config.n)
+    p_last = analysis.second_order_partial(eta, config)
     criterion = analysis.criterion_value(eta, config.n)
     p_second = analysis.second_order_series(eta, config)
     p_oracle = evolution.enumerate_branches(step, schedule, config.n) if oracle else None
@@ -357,8 +357,6 @@ def classify(opts):
     elif opts.given("omega"):
         raise ValidationError("give V or omega, not both")
     report = analysis.regime_report(schedule, variance, t_total, opts["n_max"])
-    _require_finite([report.limit_p, report.numeric_limit],
-                    lambda _: f"for V = {variance!r}, T = {t_total!r}")
     record = {
         "schedule": schedule_to_dict(schedule),
         "V": variance,
@@ -396,20 +394,12 @@ def sweep(opts):
         raise ValidationError("no grid given; pass --grid at least once")
     grid = parse_grid(opts["grid"])  # name -> its sorted values
     fields = opts.schedule()
-    for name in grid:
-        if opts.given(name) or name in fields:
-            raise ValidationError(f"{name} is swept by --grid and also given; give it once")
     if fields.get("type") == "constant" and "eta" not in grid:
         fields.setdefault("eta", 1.0)
 
-    # The grid's own values replace the others in each point's run.
-    rows = sweep_rows(grid, {k: opts[k] for k in CONFIG_FIELDS if k not in grid}, fields)
-    table = []
-    for point, row in zip(itertools.product(*grid.values()), rows):
-        values = row._values()
-        _require_finite(values[1:5], lambda _: "at grid point " + ", ".join(
-            f"{k} = {v!r}" for k, v in zip(grid, point)))
-        table.append(values)
+    # A swept name's value is passed on only if given, for sweep_rows to refuse.
+    config = {k: opts[k] for k in CONFIG_FIELDS if k not in grid or opts.given(k)}
+    table = [row._values() for row in sweep_rows(grid, config, fields)]
     if opts["format"] == "json":
         return _json([dict(zip(SweepRow._fields, values)) for values in table])
     return _csv(SweepRow._fields, table)

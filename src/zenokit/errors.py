@@ -32,8 +32,10 @@ def require_read(what: str, read, given) -> None:
 
 def as_count(name: str, value, least: int = 1) -> int:
     """value as an int, for a step count: an int or a numpy integer, not a
-    float, even an integral one; at least `least` and at most sys.maxsize."""
+    float, even an integral one, nor a bool; at least `least` and at most sys.maxsize."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
@@ -46,9 +48,9 @@ def as_count(name: str, value, least: int = 1) -> int:
 
 def real_number(name: str, value):
     """value unchanged if it is a real number (an int, a float or a numpy
-    one); a str, None or complex raises ValidationError. The type half of
-    as_real, for a parameter that checks its own range."""
-    if not isinstance(value, numbers.Real):
+    one); a bool, str, None or complex raises ValidationError. The type half
+    of as_real, for a parameter that checks its own range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     return value
 

@@ -82,11 +82,14 @@ def _parse_grid(spec):
                 values = [math.inf]
     else:
         values = [_grid_number(v, name) for v in body.split(",") if v.strip()]
+        fractions = [v for v in values if name == "n" and not v.is_integer()]
+        if fractions:  # rounded, two listed step counts could run as one point
+            raise ValidationError(f"grid for n: {fractions[0]!r} is not a whole number")
     if not values:
         raise ValidationError(f"grid for {name} is empty")
     if not all(map(math.isfinite, values)):
         raise ValidationError(f"grid for {name} leaves the float range: {body!r}")
-    if name == "n":  # rounded, then read in the order the points run them
+    if name == "n":  # a range's values rounded, then read in the order the points run them
         return name, [as_count(name, v) for v in sorted(set(map(round, values)))]
     return name, sorted(set(values))
 
@@ -112,8 +115,8 @@ def sweep_rows(grid, config, schedule):
     """The SweepRow of each point of grid, in lexicographic order. config holds
     the EvolutionConfig fields that grid does not sweep, schedule the other
     schedule fields in schedule_to_dict's form; a swept name in either raises
-    ValidationError at the first row, before any point runs. A row that is not
-    finite is yielded as it is, for the caller to refuse."""
+    ValidationError at the first row, before any point runs. So does a point whose
+    eta_n, p_exact, p_second_order or criterion is not finite, after the rows before it."""
     for name in grid:
         if name in config or name in schedule:
             raise ValidationError(f"{name} is swept by the grid and also given; give it once")
@@ -136,5 +139,9 @@ def sweep_rows(grid, config, schedule):
         p_exact = collections.deque(evolution.propagate_projected(
             run.step_unitary(), built, run.n), maxlen=1).pop()
         eta = schedules.family_eta(built, run.n)
-        yield SweepRow(run.n, eta, p_exact, analysis.second_order_partial(eta, run, run.n),
-                       analysis.criterion_value(eta, run.n), regime)
+        values = (eta, p_exact, analysis.second_order_partial(eta, run),
+                  analysis.criterion_value(eta, run.n))
+        if not all(map(math.isfinite, values)):
+            raise ValidationError("survival is not finite at grid point " + ", ".join(
+                f"{k} = {v!r}" for k, v in point))
+        yield SweepRow(run.n, *values, regime)

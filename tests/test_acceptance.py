@@ -93,10 +93,10 @@ def test_criterion_2_limiting_cases():
         assert abs(p0 - abs(u.a) ** (2 * n)) <= 1e-12
         # second order reduces to the two closed forms exactly
         V, delta = cfg.V, cfg.delta
-        assert second_order_partial(1.0, cfg, cfg.n) == pytest.approx(
+        assert second_order_partial(1.0, cfg) == pytest.approx(
             1 - V * (n * delta) ** 2, abs=1e-12
         )
-        assert second_order_partial(0.0, cfg, cfg.n) == pytest.approx(
+        assert second_order_partial(0.0, cfg) == pytest.approx(
             1 - n * V * delta**2, abs=1e-12
         )
     report(2, "eta=1 and eta=0 closed forms recovered on a 50-point grid")
@@ -113,7 +113,7 @@ def test_criterion_3_second_order_residual_shrinks_like_delta_fourth():
                 p_exact = list(propagate_projected(
                     cfg.step_unitary(), ConstantOverlap(eta=eta), n
                 ))[-1]
-                p_so = second_order_partial(eta, cfg, cfg.n)
+                p_so = second_order_partial(eta, cfg)
                 gaps.append(abs(p_exact - p_so))
             for wide, narrow in zip(gaps, gaps[1:]):
                 ratio = wide / narrow

@@ -405,7 +405,7 @@ class TestSimulate:
         assert all(math.isfinite(p) for row in rows for p in row)
         assert summary == rows[-1]
         config = EvolutionConfig(omega=float(omega), T=float(t_total), n=n)
-        assert summary[1] == analysis.second_order_partial(1.0, config, n)
+        assert summary[1] == analysis.second_order_partial(1.0, config)
 
     def test_normalised_explicit_overlaps_run(self, runner):
         r = invoke(
@@ -771,6 +771,8 @@ class TestInvalidInput:
             ("omega=lin:1:2", "lin grid needs start:stop:count, got 'lin:1:2'"),
             ("omega=lin:1:2:0", "grid count must be >= 1, got 0"),
             ("omega=geom:0:1:3", "geom grid endpoints must be positive"),
+            # rounded, the two listed step counts would run as one point, n = 2
+            ("n=1.5,2.5", "grid for n: 1.5 is not a whole number"),
         ],
     )
     def test_bad_grid_exit_code(self, runner, grid, message):
@@ -1113,8 +1115,7 @@ class TestClassify:
         assert r.exit_code == 2
         assert r.stdout == ""
         # the probe's own step sizes are not warned about
-        assert r.stderr == ("error: survival is not finite for V = 1e+300, T = 100000.0; "
-                            "no rows printed\n")
+        assert r.stderr == "error: survival is not finite for V = 1e+300, T = 100000.0\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("args", [
@@ -1358,7 +1359,7 @@ class TestSweep:
                 p_exact = list(propagate_projected(
                     config.step_unitary(), ConstantOverlap(eta=eta), 50
                 ))[-1]
-                p_so = analysis.second_order_partial(eta, config, config.n)
+                p_so = analysis.second_order_partial(eta, config)
                 criterion = analysis.criterion_value(eta, config.n)
                 regime = "FreeEvolution" if eta == 1.0 else "Zeno"
                 writer.writerow((50, repr(eta), repr(p_exact), repr(p_so),
@@ -1441,7 +1442,7 @@ class TestSweep:
         r = invoke(runner, "sweep", *args)
         assert r.exit_code == 2
         assert r.stdout == ""
-        assert f"error: {name} is swept by --grid and also given" in r.output
+        assert f"error: {name} is swept by the grid and also given" in r.output
         assert points["run"] == 0
 
     def test_non_finite_point_is_reported_before_a_later_invalid_one(self, runner):
@@ -1496,13 +1497,16 @@ class TestSweep:
         assert str(info.value) == "grid specs are a list of strings, got one string 'eta=0.5,0.6'"
         assert sweep.parse_grid(["eta=0.5,0.6"]) == {"eta": [0.5, 0.6]}
 
-    def test_library_yields_a_non_finite_row(self):
-        # the CLI refuses this grid's second point (exit 2, above)
+    def test_library_refuses_a_non_finite_row(self):
+        # V*delta^2 = 1e308 at the second point is finite, 2*S*V*delta^2 is not
         grid = sweep.parse_grid(["omega=1,1e150"])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rows = list(sweep.sweep_rows(grid, {"T": 2e4, "n": 2}, {"type": "constant", "eta": 0.5}))
-        assert [math.isfinite(row.p_second_order) for row in rows] == [True, False]
+            rows = sweep.sweep_rows(grid, {"T": 2e4, "n": 2}, {"type": "constant", "eta": 0.5})
+            assert math.isfinite(next(rows).p_second_order)
+            with pytest.raises(ValidationError) as info:
+                next(rows)
+        assert str(info.value) == "survival is not finite at grid point omega = 1e+150"
 
     @pytest.mark.parametrize("specs,config,schedule,name", [
         (["n=5"], {"n": 3, "omega": 1.0, "T": 0.3}, {"type": "constant", "eta": 0.5}, "n"),

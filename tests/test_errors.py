@@ -32,11 +32,11 @@ STEP_COUNT_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("n", [2.5, 3.0, 0, -1, sys.maxsize + 1])
+@pytest.mark.parametrize("n", [2.5, 3.0, True, 0, -1, sys.maxsize + 1])
 @pytest.mark.parametrize("entry", STEP_COUNT_ENTRY_POINTS)
 def test_every_entry_point_refuses_a_bad_step_count_alike(entry, n):
     call, name, least = STEP_COUNT_ENTRY_POINTS[entry]
-    if isinstance(n, float):
+    if isinstance(n, (float, bool)):
         error, text = ValidationError, f"{name} must be an integer, got {n!r}"
     elif n < least:
         error, text = ValidationError, f"{name} must be >= {least}, got {n}"
@@ -85,7 +85,7 @@ REAL_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "below", "1", None, 1j])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "below", "1", None, 1j, True])
 @pytest.mark.parametrize("entry", REAL_ENTRY_POINTS)
 def test_every_entry_point_refuses_a_bad_real_alike(entry, value):
     call, strict = REAL_ENTRY_POINTS[entry]
@@ -127,12 +127,12 @@ REAL_TYPE_ENTRY_POINTS = {
     "ExponentialOverlap beta": lambda x: ExponentialOverlap(1, x),
     "zeno_sum eta": lambda x: analysis.zeno_sum(x, 3),
     "criterion_value eta": lambda x: analysis.criterion_value(x, 3),
-    "second_order_partial eta": lambda x: analysis.second_order_partial(x, _RUN, 3),
+    "second_order_partial eta": lambda x: analysis.second_order_partial(x, _RUN),
     "second_order_series eta": lambda x: analysis.second_order_series(x, _RUN),
 }
 
 
-@pytest.mark.parametrize("value", ["1", None, 1j, 0.5 + 0j])
+@pytest.mark.parametrize("value", ["1", None, 1j, 0.5 + 0j, True])
 @pytest.mark.parametrize("entry", REAL_TYPE_ENTRY_POINTS)
 def test_every_entry_point_refuses_a_value_that_is_not_real_alike(entry, value):
     name = entry.split()[1]

@@ -235,7 +235,7 @@ class TestSurvivalSeries:
         cfg = EvolutionConfig(omega=1.0, T=0.1, n=100)
         p_exact = self.run(cfg, ConstantOverlap(eta=1.0))[-1]
         assert p_exact == pytest.approx(math.cos(0.1) ** 2, abs=1e-12)
-        p_so = second_order_partial(1.0, cfg, cfg.n)
+        p_so = second_order_partial(1.0, cfg)
         assert p_so == pytest.approx(0.99, abs=1e-12)
 
     def test_strong_zeno_schedule_stays_near_one(self):
