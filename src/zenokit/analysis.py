@@ -197,8 +197,9 @@ def second_order_series(eta: float, config: EvolutionConfig) -> Iterator[float]:
     checked before it is returned. The rows never increase in i: each adds a
     non-negative term. They equal the scalar 1 - 2*zeno_sum(eta, i)*vd2 bit for
     bit where the closed form applies and at eta = 1. Within CLOSED_FORM_CROSSOVER
-    of eta = 1 a row may differ from it by a few 2^-52, and so simulate's summary,
-    the last row, from sweep's p_second_order, second_order_partial's O(1) value.
+    of eta = 1 a row may differ from it by a few 2^-52, and so the last row of
+    simulate_run, simulate's summary, from sweep's p_second_order,
+    second_order_partial's O(1) value.
     Both are kept: one algorithm for both costs about 8x on such rows.
     """
     _check_eta_n(eta, config.n)

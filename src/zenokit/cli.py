@@ -15,10 +15,7 @@ import collections
 import csv
 import functools
 import io
-import itertools
 import json
-import math
-import operator
 import os
 import sys
 import warnings
@@ -26,13 +23,10 @@ import warnings
 from . import analysis, evolution, physical, register
 from ._frozen import Frozen
 from .errors import CapacityError, ValidationError, require_read
-from .schedules import SCHEDULE_TYPES, family_eta, schedule_from_dict, schedule_to_dict
-from .sweep import CONFIG_FIELDS, SweepRow, parse_grid, sweep_rows
+from .schedules import SCHEDULE_TYPES, schedule_from_dict, schedule_to_dict
+from .sweep import CONFIG_FIELDS, SweepRow, parse_grid, simulate_run, sweep_rows
 from .unitary import EvolutionConfig
 
-# simulate formats, checks and writes its rows this many at a time, so its
-# memory does not grow with n.
-ROW_CHUNK = 4096
 REQUIRED = object()
 
 
@@ -223,21 +217,6 @@ def _csv(header, rows):
     return buf.getvalue()
 
 
-def _require_finite(numbers, where, printed=0):
-    """Refuse a result with a non-finite number.
-
-    numbers may be an iterator; it is read up to its first non-finite
-    number, whose index i where(i) turns into its place and run in the
-    ValidationError. The message also says how many rows were printed.
-    """
-    bad = itertools.compress(itertools.count(),
-                             map(operator.not_, map(math.isfinite, numbers)))
-    i = next(bad, None)
-    if i is not None:
-        done = f"{printed} rows were printed" if printed else "no rows printed"
-        raise ValidationError(f"survival is not finite {where(i)}; {done}")
-
-
 # The text before, between and after the four cells (step, p_exact,
 # p_second_order, abs_gap) of one of simulate's rows: one element of the
 # "series" list as json.dumps(indent=2) nests it, and one csv.writer line.
@@ -253,35 +232,13 @@ def simulate(opts):
     config = EvolutionConfig(omega=opts["omega"], T=opts["T"], n=opts["n"])
     schedule = schedule_from_dict(opts.schedule())
     oracle, fmt = opts["oracle"], opts["format"]
-
-    step = config.step_unitary()
-    p_exact = evolution.propagate_projected(step, schedule, config.n)
-    eta = family_eta(schedule, config.n)
-    p_last = analysis.second_order_partial(eta, config)
-    criterion = analysis.criterion_value(eta, config.n)
-    p_second = analysis.second_order_series(eta, config)
-    p_oracle = evolution.enumerate_branches(step, schedule, config.n) if oracle else None
-    run = f"for omega = {config.omega!r}, T = {config.T!r}, n = {config.n}"
-
-    # The exact column is finite and in [0, 1]: propagate_projected yields a
-    # value that the overlaps' slack or rounding lifts past 1 as 1.0. The
-    # second-order column never increases in the step, so it is finite if its
-    # last row is; the rows are scanned only when that row is not.
-    if not math.isfinite(p_last):
-        _require_finite(analysis.second_order_series(eta, config),
-                        lambda i: f"at step {i + 1} {run}")
-    _require_finite([criterion, *([p_oracle] if oracle else [])],
-                    lambda _: f"in the summary {run}")
-    # Each chunk is checked again as it is made. The first is made here,
-    # so that a fault in it stops the run before --output is opened.
-    chunks = _row_chunks(p_exact, p_second, lambda step: f"at step {step} {run}")
-    chunks = itertools.chain([next(chunks)], chunks)
+    run = simulate_run(config, schedule, oracle)
 
     def summary(p_exact, p_second_order):
         values = {"p_exact": p_exact, "p_second_order": p_second_order,
-                  "criterion": criterion}
+                  "criterion": run.criterion}
         if oracle:
-            values.update(p_oracle=p_oracle, oracle_abs_gap=abs(p_exact - p_oracle))
+            values.update(p_oracle=run.p_oracle, oracle_abs_gap=abs(p_exact - run.p_oracle))
         return values
 
     # The per-step rows skip the generic encoders: each cell is written as
@@ -298,29 +255,14 @@ def simulate(opts):
         ).split('"series": null', 1)[0]
         # The summary follows the series at the same depth as in one
         # json.dumps(indent=2) of the whole document.
-        return _stream(head + '"series": [\n', chunks, _JSON_SERIES_ROW, ",\n",
+        return _stream(head + '"series": [\n', run.chunks, _JSON_SERIES_ROW, ",\n",
                        lambda *last: "\n  ]," + _json({"summary": summary(*last)})[1:])
 
     csv_foot = "summary,%(p_exact)r,%(p_second_order)r,,%(criterion)r\r\n"
     if oracle:
         csv_foot += "oracle,%(p_oracle)r,,%(oracle_abs_gap)r,\r\n"
-    return _stream("step,p_exact,p_second_order,abs_gap,criterion\r\n", chunks,
+    return _stream("step,p_exact,p_second_order,abs_gap,criterion\r\n", run.chunks,
                    _CSV_ROW, "", lambda *last: csv_foot % summary(*last))
-
-
-def _row_chunks(p_exact, p_second, where):
-    """The columns (steps, p_exact, p_second_order, abs_gap) of ROW_CHUNK
-    rows at a time, each chunk checked finite before it is handed on;
-    where(step) names a step."""
-    for start in itertools.count(1, ROW_CHUNK):
-        exact = list(itertools.islice(p_exact, ROW_CHUNK))
-        if not exact:
-            return
-        second = list(itertools.islice(p_second, ROW_CHUNK))
-        # A gap is finite only if both of its row's probabilities are.
-        gaps = list(map(abs, map(operator.sub, exact, second)))
-        _require_finite(gaps, lambda i: where(start + i), printed=start - 1)
-        yield range(start, start + len(exact)), exact, second, gaps
 
 
 def _stream(head, chunks, row, joiner, foot):

@@ -1,12 +1,15 @@
-"""The parameter sweep: `parse_grid` reads a grid of one or two parameters,
-and `sweep_rows` runs its points in lexicographic order, one `SweepRow`
-each. The CLI's `sweep` is these two with its options and output around them.
+"""The runs behind the CLI's `simulate` and `sweep`. `simulate_run` runs one
+chain and hands on its rows, step by step, beside its summary. `parse_grid`
+reads a grid of one or two parameters, and `sweep_rows` runs its points in
+lexicographic order, one `SweepRow` each. The CLI's commands are these with
+their options and output around them.
 """
 
 import collections
 import functools
 import itertools
 import math
+import operator
 
 from . import analysis, evolution, schedules
 from ._frozen import Frozen
@@ -15,9 +18,21 @@ from .schedules import schedule_from_dict
 from .unitary import EvolutionConfig
 
 SWEEP_POINT_CAP = 10**6
+# simulate_run hands on its rows this many at a time: its memory does not grow with n.
+ROW_CHUNK = 4096
 CONFIG_FIELDS = EvolutionConfig._fields
 SWEEP_PARAMS = (*CONFIG_FIELDS, *dict.fromkeys(  # each schedule type's number fields, once
     f for cls in schedules.SCHEDULE_TYPES.values() for f in cls._fields if f != "overlaps"))
+
+
+class SimulateRun(Frozen):
+    """One run of n steps: its Zeno criterion, the branch oracle's survival
+    (None without the oracle), and chunks, an iterator of the columns (steps,
+    p_exact, p_second_order, abs_gap) of ROW_CHUNK rows at a time."""
+
+    criterion: float
+    p_oracle: object
+    chunks: object
 
 
 class SweepRow(Frozen):
@@ -145,3 +160,58 @@ def sweep_rows(grid, config, schedule):
             raise ValidationError("survival is not finite at grid point " + ", ".join(
                 f"{k} = {v!r}" for k, v in point))
         yield SweepRow(run.n, *values, regime)
+
+
+def _require_finite(numbers, where, printed=0):
+    """Raise ValidationError at the first non-finite number (an iterator is read no
+    further), naming its place and run, where(i) of its index, and the rows printed."""
+    bad = itertools.compress(itertools.count(),
+                             map(operator.not_, map(math.isfinite, numbers)))
+    i = next(bad, None)
+    if i is not None:
+        done = f"{printed} rows were printed" if printed else "no rows printed"
+        raise ValidationError(f"survival is not finite {where(i)}; {done}")
+
+
+def simulate_run(config, schedule, oracle=False):
+    """The SimulateRun of an EvolutionConfig under an OverlapSchedule, with the
+    branch oracle's survival if oracle. A non-finite criterion, oracle value or
+    second-order row, or one in the first chunk, raises ValidationError here; one
+    in a later chunk raises as it is drawn, naming its step and the rows before it."""
+    step = config.step_unitary()
+    p_exact = evolution.propagate_projected(step, schedule, config.n)
+    eta = schedules.family_eta(schedule, config.n)
+    p_last = analysis.second_order_partial(eta, config)
+    criterion = analysis.criterion_value(eta, config.n)
+    p_second = analysis.second_order_series(eta, config)
+    p_oracle = evolution.enumerate_branches(step, schedule, config.n) if oracle else None
+    run = f"for omega = {config.omega!r}, T = {config.T!r}, n = {config.n}"
+
+    # The exact column is finite and in [0, 1]: propagate_projected yields a
+    # value that the overlaps' slack or rounding lifts past 1 as 1.0. The
+    # second-order column never increases in the step, so it is finite if its
+    # last row is; the rows are scanned only when that row is not.
+    if not math.isfinite(p_last):
+        _require_finite(analysis.second_order_series(eta, config),
+                        lambda i: f"at step {i + 1} {run}")
+    _require_finite([criterion, *([p_oracle] if oracle else [])],
+                    lambda _: f"in the summary {run}")
+    # Each chunk is checked again as it is made. The first is made here, so
+    # that a fault in it stops the run before a caller opens its output.
+    chunks = _row_chunks(p_exact, p_second, lambda step: f"at step {step} {run}")
+    return SimulateRun(criterion, p_oracle, itertools.chain([next(chunks)], chunks))
+
+
+def _row_chunks(p_exact, p_second, where):
+    """The columns (steps, p_exact, p_second_order, abs_gap) of ROW_CHUNK
+    rows at a time, each chunk checked finite before it is handed on;
+    where(step) names a step."""
+    for start in itertools.count(1, ROW_CHUNK):
+        exact = list(itertools.islice(p_exact, ROW_CHUNK))
+        if not exact:
+            return
+        second = list(itertools.islice(p_second, ROW_CHUNK))
+        # A gap is finite only if both of its row's probabilities are.
+        gaps = list(map(abs, map(operator.sub, exact, second)))
+        _require_finite(gaps, lambda i: where(start + i), printed=start - 1)
+        yield range(start, start + len(exact)), exact, second, gaps

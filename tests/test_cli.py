@@ -171,9 +171,9 @@ CELL_FLOATS = st.one_of(
 
 @st.composite
 def column_chunks(draw):
-    """A few chunks of columns as cli._row_chunks yields them, their steps
+    """A few chunks of columns as sweep.simulate_run hands them on, their steps
     counting on from near a ROW_CHUNK edge or anywhere."""
-    start = draw(st.one_of(st.integers(cli.ROW_CHUNK - 12, cli.ROW_CHUNK + 1),
+    start = draw(st.one_of(st.integers(sweep.ROW_CHUNK - 12, sweep.ROW_CHUNK + 1),
                            st.integers(1, 10**7)))
     chunks = []
     for size in draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)):
@@ -203,7 +203,7 @@ SIMULATE_SCHEDULES = {
 
 
 SEVERAL_CHUNKS_OVERLAPS = tuple(itertools.islice(
-    itertools.cycle((0.9 + 0.1j, 0.95 + 0j, 0.7 - 0.3j, 0.8 + 0.2j)), 2 * cli.ROW_CHUNK + 5))
+    itertools.cycle((0.9 + 0.1j, 0.95 + 0j, 0.7 - 0.3j, 0.8 + 0.2j)), 2 * sweep.ROW_CHUNK + 5))
 # Runs of 2 * ROW_CHUNK + 5 steps, (omega, T, schedule flags, schedule) by
 # test id suffix.
 SEVERAL_CHUNKS = {
@@ -500,10 +500,10 @@ class TestSimulate:
         )
         assert r.exit_code == 2
         assert "error: survival is not finite at step 5000 for omega = 1.0" in r.stderr
-        assert f"; {cli.ROW_CHUNK} rows were printed" in r.stderr
+        assert f"; {sweep.ROW_CHUNK} rows were printed" in r.stderr
         assert "no rows printed" not in r.output
         rows = r.stdout.count('"step"') if fmt == "json" else r.stdout.count("\n") - 1
-        assert rows == cli.ROW_CHUNK
+        assert rows == sweep.ROW_CHUNK
 
     def test_memory_does_not_grow_with_n(self, runner, tmp_path):
         peaks = []
@@ -565,7 +565,7 @@ class TestSimulate:
     ])
     def test_rows_of_several_chunks_match_generic_encoders(self, runner, tmp_path, case,
                                                            fmt, to_file):
-        n = 2 * cli.ROW_CHUNK + 5
+        n = 2 * sweep.ROW_CHUNK + 5
         omega, T, flags, schedule = SEVERAL_CHUNKS[case]
         args = ["simulate", "--omega", repr(omega), "--T", repr(T), "--n", str(n), *flags,
                 "--format", fmt]
@@ -1566,6 +1566,66 @@ class TestSweep:
         assert f"error: n = {10**19} is above the cap of sys.maxsize = {sys.maxsize}" in r.stderr
         assert points["run"] == 0
 
+
+class TestSimulateRun:
+    """simulate_run, the library's run behind the CLI's simulate."""
+
+    @pytest.mark.parametrize("case", sorted(SEVERAL_CHUNKS))
+    def test_chunks_are_the_engines_columns(self, case):
+        omega, T, _, schedule = SEVERAL_CHUNKS[case]
+        config = EvolutionConfig(omega=omega, T=T, n=2 * sweep.ROW_CHUNK + 5)
+        run = sweep.simulate_run(config, schedule)
+        chunks = list(run.chunks)
+        assert [len(steps) for steps, *_ in chunks] == [sweep.ROW_CHUNK] * 2 + [5]
+        steps, exact, second, gaps = (
+            [x for chunk in chunks for x in chunk[k]] for k in range(4))
+        eta = family_eta(schedule, config.n)
+        assert steps == list(range(1, config.n + 1))
+        assert list(map(float.hex, exact)) == list(map(float.hex, propagate_projected(
+            config.step_unitary(), schedule, config.n)))
+        assert list(map(float.hex, second)) == list(map(
+            float.hex, analysis.second_order_series(eta, config)))
+        assert gaps == [abs(p - q) for p, q in zip(exact, second)]
+        assert run.criterion == criterion_value(eta, config.n)
+        assert run.p_oracle is None
+
+    def test_oracle_is_the_branch_sum(self):
+        config = EvolutionConfig(omega=0.7, T=0.9, n=12)
+        schedule = ConstantOverlap(eta=0.93)
+        run = sweep.simulate_run(config, schedule, oracle=True)
+        assert run.p_oracle == enumerate_branches(config.step_unitary(), schedule, config.n)
+
+    def test_fault_in_the_first_chunk_raises_from_the_call(self, monkeypatch):
+        original = analysis.second_order_series
+
+        def with_nan(eta, config):
+            values = list(original(eta, config))
+            values[2] = math.nan
+            return values
+
+        monkeypatch.setattr(analysis, "second_order_series", with_nan)
+        with pytest.raises(ValidationError) as info:
+            sweep.simulate_run(EvolutionConfig(omega=1.0, T=1.0, n=5), ConstantOverlap(eta=0.5))
+        assert str(info.value) == ("survival is not finite at step 3 for omega = 1.0, "
+                                   "T = 1.0, n = 5; no rows printed")
+
+    def test_later_fault_raises_when_its_chunk_is_drawn(self, monkeypatch):
+        original = analysis.second_order_series
+
+        def nan_at_5000(eta, config):
+            return (math.nan if i == 5000 else p
+                    for i, p in enumerate(original(eta, config), start=1))
+
+        monkeypatch.setattr(analysis, "second_order_series", nan_at_5000)
+        run = sweep.simulate_run(EvolutionConfig(omega=1.0, T=1.0, n=10000),
+                                 ConstantOverlap(eta=0.5))
+        steps, *_ = next(run.chunks)
+        assert steps == range(1, sweep.ROW_CHUNK + 1)
+        with pytest.raises(ValidationError) as info:
+            next(run.chunks)
+        assert str(info.value) == (
+            "survival is not finite at step 5000 for omega = 1.0, T = 1.0, n = 10000; "
+            f"{sweep.ROW_CHUNK} rows were printed")
 
 
 class TestPhysical:

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 import sys
 
@@ -195,7 +196,9 @@ class TestRecurrenceErrorBound:
     float step coefficients, at every step of an n-step run (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3). Worst
     gaps seen on these cases: 0.035*n*eps at n = 10^3 and 0.008*n*eps at
-    n = 10^4."""
+    n = 10^4. At n = 10^6 the last survival of a Rabi step lay within
+    0.22*n*eps of a 40-digit power of its step matrix (at eta = 0.99; 0.19 at
+    0.5, 0.0011 at 0 and 0.0004 at 1)."""
 
     @pytest.mark.parametrize("n", [10, 100, 1000, 10**4])
     @pytest.mark.parametrize("kind", ["constant", "explicit"])
@@ -216,6 +219,19 @@ class TestRecurrenceErrorBound:
             want = mpmath_chain(u, realize(sched, n), mpmath)
             got = list(propagate_projected(u, sched, n))
             assert max(abs(g - w) for g, w in zip(got, want)) <= n * sys.float_info.epsilon
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.99, 1.0])
+    def test_last_survival_at_a_million_steps(self, eta):
+        mpmath = pytest.importorskip("mpmath")
+        n = 10**6
+        u = make_rabi_unitary(1, 1 / n)
+        # Only the last survival value is kept: the deque drops the others.
+        got, = collections.deque(propagate_projected(u, ConstantOverlap(eta=eta), n), maxlen=1)
+        with mpmath.workdps(40):
+            c_eq_0, c_neq_0, c_neq_1, c_eq_1 = map(mpmath.mpc, u.coefficients)
+            step = mpmath.matrix([[c_eq_0, c_neq_0], [eta * c_neq_1, eta * c_eq_1]])
+            want = float(abs((step**n)[0, 0]) ** 2)
+        assert abs(got - want) <= n * sys.float_info.epsilon
 
 
 class TestSurvivalSeries:
