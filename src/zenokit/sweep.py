@@ -163,8 +163,8 @@ def sweep_rows(grid, config, schedule):
 
 
 def _require_finite(numbers, where, printed=0):
-    """Raise ValidationError at the first non-finite number (an iterator is read no
-    further), naming its place and run, where(i) of its index, and the rows printed."""
+    """Raise ValidationError at the first non-finite number, at index i (an
+    iterator is read no further), naming where(i) and the rows printed before it."""
     bad = itertools.compress(itertools.count(),
                              map(operator.not_, map(math.isfinite, numbers)))
     i = next(bad, None)
